@@ -11,6 +11,12 @@ Consensus mode repeats the same structure once per directed edge, with
 oriented subtrees replacing rooted subtrees and per-root distortions
 summing the incremental distortions along each directed tree.
 
+The accumulation sums are one fold over the network's link cascade
+(:class:`~gausstree.network.LinkCascade`), O(n) in both modes, and
+exact: ``tx`` equals ``math.fsum`` over the strictly upstream links and
+``per_root`` equals ``math.fsum`` over the directed tree, bit for bit,
+while ``rx = tx + inc`` is one float addition.
+
 All bound values are reported raw -- they may go negative once
 incremental distortions approach the subtree variances.  Callers that
 want the information-theoretically meaningful value clip at zero via
@@ -31,7 +37,6 @@ from .network import (
     DirectedEdge,
     TreeNetwork,
     directed_edges,
-    directed_tree,
     normalize_edge_map,
     normalize_link_map,
 )
@@ -120,12 +125,7 @@ def derive_distortions(net: TreeNetwork, inc: Mapping[int, float]) -> Distortion
         exact; deriving twice is idempotent.
     """
     inc = normalize_link_map(net, inc, "incremental distortions")
-    # Direct correctly-rounded sums over the strict subtree rather than a
-    # cascaded recursion, so tx equals the member-enumeration sum exactly.
-    tx = {
-        i: fsum(inc[j] for j in net.subtree_members(i) if j != i)
-        for i in net.sources
-    }
+    tx = net.cascade.upstream_sums(inc)
     rx = {i: tx[i] + inc[i] for i in net.sources}
     return DistortionProfile(inc=inc, tx=tx, rx=rx, total=fsum(inc.values()))
 
@@ -133,7 +133,7 @@ def derive_distortions(net: TreeNetwork, inc: Mapping[int, float]) -> Distortion
 def consensus_derive(
     net: TreeNetwork, inc: Mapping[tuple[int, int], float]
 ) -> ConsensusProfile:
-    """Derived distortions for consensus: one recursion per directed edge.
+    """Derived distortions for consensus: one fold over the directed links.
 
     ``tx[b -> a]`` sums ``inc`` over the edges strictly below ``b -> a``
     in the directed tree towards ``a``; ``per_root[k]`` sums ``inc`` over
@@ -141,16 +141,8 @@ def consensus_derive(
     """
     _require_consensus(net)
     inc = normalize_edge_map(net, inc, "incremental distortions")
-    tx: dict[DirectedEdge, float] = {}
-    for e in net.directed_edge_order:
-        members = net.oriented_members(e)
-        tx[e] = fsum(
-            inc[f] for f in directed_tree(net, e.dst) if f != e and f.src in members
-        )
+    tx, per_root = net.cascade.consensus_sums(inc)
     rx = {e: tx[e] + inc[e] for e in inc}
-    per_root = {
-        k: fsum(inc[e] for e in directed_tree(net, k)) for k in net.node_ids
-    }
     return ConsensusProfile(
         inc=inc,
         tx=tx,
@@ -183,10 +175,15 @@ def outer_bound_penalty(net: TreeNetwork, i: int, x: float) -> float:
     net._require_node(i)
     if i == net.root:
         raise InputError("the root has no uplink, so no penalty term")
+    return _link_penalty(net, i, x)
+
+
+def _link_penalty(net: TreeNetwork, i: int, x: float) -> float:
+    """:func:`outer_bound_penalty` for a node already known to be a source."""
     if not (x >= 0.0 and math.isfinite(x)):
         raise InputError(f"penalty argument must be non-negative, got {x!r}")
     s2 = net.subtree_variances[i]
-    w2 = net.weight(i) ** 2
+    w2 = net.weights[i] ** 2
     return x / (2.0 * w2) + LOG2E / (2.0 * s2) * math.sqrt(2.0 * x * (4.0 * s2 + x))
 
 
@@ -221,7 +218,7 @@ def outer_bound_incremental(net: TreeNetwork, profile: DistortionProfile) -> Out
     for i in net.sources:
         s2 = net.subtree_variances[i]
         per_link[i] = 0.5 * (
-            log2(s2 / profile.inc[i]) - outer_bound_penalty(net, i, profile.tx[i])
+            log2(s2 / profile.inc[i]) - _link_penalty(net, i, profile.tx[i])
         )
     return OuterBound(fsum(per_link[i] for i in net.sources), per_link)
 
@@ -233,7 +230,7 @@ def outer_bound_closed_form(net: TreeNetwork, total_distortion: float) -> float:
         raise InfeasibleError(f"total distortion must be positive, got {total_distortion!r}")
     n = len(net.sources)
     log_product = fsum(log2(net.subtree_variances[i]) for i in net.sources)
-    penalty = fsum(outer_bound_penalty(net, i, total_distortion) for i in net.sources)
+    penalty = fsum(_link_penalty(net, i, total_distortion) for i in net.sources)
     return 0.5 * (log_product - n * log2(total_distortion / n)) - 0.5 * penalty
 
 
@@ -262,7 +259,7 @@ def gap_report(net: TreeNetwork, profile: DistortionProfile) -> GapReport:
     for i in net.sources:
         per_link[i] = 0.5 * (
             log2(profile.rx[i] / profile.inc[i])
-            - outer_bound_penalty(net, i, profile.tx[i])
+            - _link_penalty(net, i, profile.tx[i])
         )
     return GapReport(fsum(per_link[i] for i in net.sources), per_link)
 
@@ -313,13 +310,16 @@ def test_channel_variances(net: TreeNetwork, d: Mapping[int, float]) -> dict[int
     never exceeds the subtree variances; a violation beyond round-off is
     reported as an internal-consistency failure.
     """
-    d = normalize_link_map(net, d, "distortion parameters")
+    return _test_channel_variances(net, normalize_link_map(net, d, "distortion parameters"))
+
+
+def _test_channel_variances(net: TreeNetwork, d: dict[int, float]) -> dict[int, float]:
     sigma_hat: dict[int, float] = {}
     for node in net.leaves_first:
         if node == net.root:
             continue
-        terms = [net.weight(node) ** 2]
-        terms.extend(sigma_hat[c] - d[c] for c in net.children_of(node))
+        terms = [net.weights[node] ** 2]
+        terms.extend(sigma_hat[c] - d[c] for c in net.children[node])
         var = fsum(terms)
         if d[node] > var:
             raise InfeasibleError(
@@ -351,8 +351,8 @@ def inner_bound(net: TreeNetwork, d: Mapping[int, float]) -> InnerBound:
     the test-channel variances, so this is achievable) and distortion
     ``sum_i d_i``; validates the test-channel variance recursion.
     """
-    sigma_hat = test_channel_variances(net, d)
     d = normalize_link_map(net, d, "distortion parameters")
+    sigma_hat = _test_channel_variances(net, d)
     per_link = {
         i: 0.5 * log2(net.subtree_variances[i] / d[i]) for i in net.sources
     }
@@ -369,11 +369,14 @@ def inner_bound_minimized(net: TreeNetwork, total_distortion: float) -> float:
     ``0.5 * log2(prod(s2_i) / (D/n)^n)``."""
     if not (total_distortion > 0.0 and math.isfinite(total_distortion)):
         raise InfeasibleError(f"total distortion must be positive, got {total_distortion!r}")
-    n = len(net.sources)
-    share = total_distortion / n
+    share = total_distortion / len(net.sources)
     test_channel_variances(net, {i: share for i in net.sources})
+    return _equal_split_rate(net, share)
+
+
+def _equal_split_rate(net: TreeNetwork, share: float) -> float:
     log_product = fsum(log2(net.subtree_variances[i]) for i in net.sources)
-    return 0.5 * (log_product - n * log2(share))
+    return 0.5 * (log_product - len(net.sources) * log2(share))
 
 
 def consensus_test_channel_variances(
@@ -412,9 +415,8 @@ def consensus_inner(net: TreeNetwork, d: Mapping[tuple[int, int], float]) -> Inn
     per_edge = {
         e: 0.5 * log2(net.oriented_variances[e] / d[e]) for e in directed_edges(net)
     }
-    distortion = fsum(
-        fsum(d[e] for e in directed_tree(net, k)) for k in net.node_ids
-    )
+    _, per_root = net.cascade.consensus_sums(d)
+    distortion = fsum(per_root.values())
     return InnerBound(
         rate_bits=fsum(per_edge[e] for e in directed_edges(net)),
         distortion=distortion,
@@ -547,7 +549,8 @@ def full_report(
     ``d = D/n``) or an explicit per-link map ``inc`` (whose sum becomes
     the budget the closed-form bounds are evaluated at).
     """
-    if inc is not None:
+    equal_split = inc is None
+    if not equal_split:
         inc = normalize_link_map(net, inc, "incremental distortions")
         total_distortion = fsum(inc.values())
     else:
@@ -564,7 +567,10 @@ def full_report(
     cut = cutset_bound(net, profile)
     closed = outer_bound_closed_form(net, total_distortion)
     inner = inner_bound(net, inc)
-    minimized = inner_bound_minimized(net, total_distortion)
+    if equal_split:  # inner_bound has just validated this very split
+        minimized = _equal_split_rate(net, total_distortion / len(net.sources))
+    else:
+        minimized = inner_bound_minimized(net, total_distortion)
     gap = gap_report(net, profile)
     return BoundsReport(
         mode="aggregation",

@@ -21,12 +21,15 @@ from typing import Iterable, Mapping, Sequence
 
 from . import allocation, bounds, simulator
 from .errors import ConsistencyError, InfeasibleError, InputError
-from .network import TreeNetwork, make_line, parse_tree
+from .network import MAX_NODES, TreeNetwork, make_line, parse_tree
 
 __all__ = ["build_parser", "gap_sweep", "main", "run"]
 
 _JSON_DIGITS = 12
 _CSV_DIGITS = 6
+
+#: Longest line ``gap-sweep`` builds: n weighted nodes plus the sink.
+_MAX_LINE_N = MAX_NODES - 1
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +47,7 @@ def _round_floats(obj):
 
 
 def _format_json(payload) -> str:
-    return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_round_floats(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _format_csv(rows: Iterable[Sequence]) -> str:
@@ -61,7 +64,12 @@ def _emit(args, json_payload, csv_rows) -> None:
     if args.format == "csv":
         text = _format_csv(csv_rows)
     else:
-        text = _format_json(json_payload)
+        try:
+            text = _format_json(json_payload)
+        except ValueError as exc:  # NaN or infinity has no JSON literal
+            raise InfeasibleError(
+                f"a result is not finite at these parameters ({exc})"
+            ) from exc
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -134,13 +142,22 @@ def _require_distortion(args, net: TreeNetwork, consensus: bool):
     return {i: args.D / n for i in net.sources}
 
 
+def _line_too_long(n: int) -> InputError:
+    return InputError(
+        f"line length {n} exceeds the maximum {_MAX_LINE_N} "
+        f"(a line of n weighted nodes has n + 1 nodes, at most {MAX_NODES})"
+    )
+
+
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
-        lo, hi = text.split("..", 1)
         try:
-            return list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(part) for part in text.split("..", 1))
         except ValueError as exc:
             raise InputError(f"bad range {text!r}") from exc
+        if lo <= hi and hi > _MAX_LINE_N:  # refuse before building the list
+            raise _line_too_long(hi)
+        return list(range(lo, hi + 1))
     try:
         return [int(part) for part in text.split(",")]
     except ValueError as exc:
@@ -162,7 +179,10 @@ def gap_sweep(n_values: Iterable[int], d_values: Iterable[float]) -> list[dict]:
     """Incremental-vs-cut-set gap on equal-weight lines, one row per
     (n, D) combination in ascending order, against ``0.5*log2(n!)``."""
     rows = []
-    for n in sorted(set(n_values)):
+    lengths = sorted(set(n_values))
+    if lengths and lengths[-1] > _MAX_LINE_N:
+        raise _line_too_long(lengths[-1])
+    for n in lengths:
         if n < 1:
             raise InputError(f"line length must be positive, got {n}")
         net = make_line(n, [1.0] * n)

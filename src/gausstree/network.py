@@ -14,6 +14,27 @@ All derived quantities (subtree member sets, subtree variances, directed
 trees, oriented subtrees, edge multiplicities) are computed here so that
 the bound/allocation modules stay purely arithmetic.
 
+The structure every recursion needs is built once per network as a
+:class:`LinkCascade`.  One leaves-first pass gives every node's subtree
+size and its position in that order, so every subtree is a contiguous
+slice.  The ``2(n-1)`` directed links follow from it: oriented subtree
+sizes ``size(c -> p) = |subtree(c)|`` and ``size(p -> c) = n - size(c -> p)``,
+the multiplicities ``n - size``, an evaluation order, and every oriented
+member set as one slice or the complement of one.  The link ``b -> a``
+is fed by the links ``k -> b`` from the other neighbours ``k`` of ``b``;
+:meth:`LinkCascade.upstream_sums` and :meth:`LinkCascade.consensus_sums`
+fold values over the links in O(n): leaves-first every link ``c -> p``
+collects the links that feed it, then root-first every link ``p -> c``
+is rerooted as ``(all links into p) - (c -> p)``.
+
+Those folds are exact.  Every finite double is ``m * 2**e``, so the
+values are carried as integers over one common power-of-two
+denominator; integer sums and the rerooting subtraction lose nothing,
+and the one division ``num / 2**k`` per result is correctly rounded.
+Each result is therefore bit-identical to :func:`math.fsum` over the
+members it sums, and a sum too large for a double raises
+``OverflowError`` as ``fsum`` does.
+
 Tree documents are UTF-8 JSON::
 
     {"root": 0, "nodes": [{"id": 1, "weight": 1.0, "parent": 0}, ...]}
@@ -39,6 +60,7 @@ from .errors import InputError
 __all__ = [
     "MAX_NODES",
     "DirectedEdge",
+    "LinkCascade",
     "SubtreeStats",
     "TreeError",
     "TreeNetwork",
@@ -52,7 +74,10 @@ __all__ = [
     "subtree_stats",
 ]
 
-#: Hard cap on network size; everything here is O(n^2) worst case.
+#: Hard cap on network size.  The link cascade and the distortion folds
+#: are O(n) plus one O(n log n) sort; the recursions that visit every
+#: neighbour of a link's source (oriented and consensus test-channel
+#: variances) cost O(sum of squared degrees), and the exact oracle is dense.
 MAX_NODES = 10_000
 
 
@@ -106,6 +131,125 @@ def _check_weight(node: int, value: object) -> float:
     if w == 0.0:
         raise TreeError(f"node {node}: weight must be nonzero")
     return w
+
+
+def _fixed_point(values: Sequence[float]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over one power-of-two denominator.
+
+    ``as_integer_ratio`` is exact and its denominator is a power of two,
+    so shifting every numerator to the largest denominator loses nothing.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    bits = max((d.bit_length() for _, d in ratios), default=1)
+    return [m << (bits - d.bit_length()) for m, d in ratios], 1 << (bits - 1)
+
+
+class LinkCascade:
+    """The links of a tree laid out for O(n) folds (see the module docstring).
+
+    ``postorder`` lists the nodes children-first with the stored root
+    last, so node ``i``'s subtree is the ``subtree_size[i]`` entries
+    ending at ``position[i]``; ``parent`` is -1 at the root.  ``size``
+    counts the nodes on the ``src`` side of every directed link,
+    ``order`` lists the links by ``(size, link)``, which puts every link
+    after the links that feed it, and ``edges`` by ``(src, dst)``.
+    """
+
+    def __init__(self, net: "TreeNetwork") -> None:
+        n = net.n_nodes
+        parent = [-1] * n
+        for child, par in net.parents.items():
+            parent[child] = par
+        position = [n - 1] * n
+        subtree_size = [1] * n
+        for k, node in enumerate(net.leaves_first[:-1]):
+            position[node] = k
+            subtree_size[parent[node]] += subtree_size[node]
+        self.postorder = net.leaves_first
+        self.parent = tuple(parent)
+        self.position = tuple(position)
+        self.subtree_size = tuple(subtree_size)
+
+    @cached_property
+    def size(self) -> dict[DirectedEdge, int]:
+        n = len(self.postorder)
+        size: dict[DirectedEdge, int] = {}
+        for i in self.postorder[:-1]:
+            size[DirectedEdge(i, self.parent[i])] = self.subtree_size[i]
+            size[DirectedEdge(self.parent[i], i)] = n - self.subtree_size[i]
+        return size
+
+    @cached_property
+    def order(self) -> tuple[DirectedEdge, ...]:
+        size = self.size
+        return tuple(sorted(size, key=lambda e: (size[e], e)))
+
+    @cached_property
+    def edges(self) -> tuple[DirectedEdge, ...]:
+        return tuple(sorted(self.size))
+
+    def multiplicity(self, edge: DirectedEdge) -> int:
+        """Number of roots whose directed tree uses ``edge``: the nodes on
+        its ``dst`` side."""
+        return len(self.postorder) - self.size[edge]
+
+    def subtree(self, i: int) -> tuple[int, ...]:
+        """Node ``i`` and its descendants under the stored root."""
+        end = self.position[i] + 1
+        return self.postorder[end - self.subtree_size[i] : end]
+
+    def members(self, edge: DirectedEdge) -> tuple[int, ...]:
+        """Nodes on the ``src`` side of an existing directed link."""
+        src, dst = edge
+        if self.parent[src] == dst:
+            return self.subtree(src)
+        end = self.position[dst] + 1
+        return self.postorder[: end - self.subtree_size[dst]] + self.postorder[end:]
+
+    def upstream_sums(self, values: Mapping[int, float]) -> dict[int, float]:
+        """``values`` summed over the strict subtree of every non-root
+        node, keyed by ascending node id; each sum equals ``fsum`` over
+        its members (see the module docstring)."""
+        nodes, parent, root = self.postorder[:-1], self.parent, self.postorder[-1]
+        num, den = _fixed_point([values[i] for i in nodes])
+        below = [0] * len(self.postorder)
+        for i, m in zip(nodes, num):
+            below[parent[i]] += below[i] + m
+        return {i: below[i] / den for i in range(len(below)) if i != root}
+
+    def consensus_sums(
+        self, values: Mapping[DirectedEdge, float]
+    ) -> tuple[dict[DirectedEdge, float], dict[int, float]]:
+        """Exact sums of per-link ``values`` for consensus.
+
+        Returns ``(tx, per_root)``: ``tx[b -> a]`` sums the links strictly
+        upstream of ``b -> a`` in the directed tree towards ``a`` (keyed
+        in :attr:`order`), and ``per_root[k]`` sums the whole directed tree
+        towards ``k`` (keyed by ascending node id).  Leaves-first, every
+        link ``i -> parent(i)`` collects its subtree; root-first, the
+        links into a node are rerooted as ``into[p] - rx(c -> p)``.
+        """
+        nodes, parent, k = self.postorder[:-1], self.parent, len(self.postorder) - 1
+        num, den = _fixed_point(
+            [values[i, parent[i]] for i in nodes] + [values[parent[i], i] for i in nodes]
+        )
+        up_num, down_num = num[:k], num[k:]
+        up_rx = [0] * (k + 1)  # exact rx(i -> parent(i)); per_root at the root
+        for i, m in zip(nodes, up_num):
+            up_rx[i] += m
+            up_rx[parent[i]] += up_rx[i]
+        into = up_rx[:]  # exact per_root: rx summed over the links into each node
+        tx: dict[tuple[int, int], int] = {}
+        for j in reversed(range(k)):
+            i = nodes[j]
+            p = parent[i]
+            tx[i, p] = up_rx[i] - up_num[j]
+            tx[p, i] = into[p] - up_rx[i]
+            into[i] = tx[i, p] + tx[p, i] + down_num[j]
+        return (
+            {e: tx[e] / den for e in self.order},
+            {k: into[k] / den for k in range(len(into))},
+        )
 
 
 @dataclass(frozen=True)
@@ -260,15 +404,14 @@ class TreeNetwork:
 
     # -- subtrees and variances ------------------------------------------
 
+    @cached_property
+    def cascade(self) -> LinkCascade:
+        """The directed links laid out for O(n) folds (built once)."""
+        return LinkCascade(self)
+
     def subtree_members(self, i: int) -> frozenset[int]:
         self._require_node(i)
-        out = set()
-        queue = deque([i])
-        while queue:
-            node = queue.popleft()
-            out.add(node)
-            queue.extend(self.children[node])
-        return frozenset(out)
+        return frozenset(self.cascade.subtree(i))
 
     @cached_property
     def subtree_variances(self) -> dict[int, float]:
@@ -276,7 +419,7 @@ class TreeNetwork:
         # the recursion is a single pass; fsum keeps the sums exact.
         var: dict[int, float] = {}
         for node in self.leaves_first:
-            terms = [self.weight(node) ** 2]
+            terms = [self.weights.get(node, 0.0) ** 2]
             terms.extend(var[c] for c in self.children[node])
             var[node] = fsum(terms)
         return var
@@ -289,28 +432,19 @@ class TreeNetwork:
         e = DirectedEdge(_check_node_id(src, "edge source"), _check_node_id(dst, "edge target"))
         self._require_node(e.src)
         self._require_node(e.dst)
-        if e.dst not in self.neighbors[e.src]:
+        if e not in self.cascade.size:
             raise TreeError(f"nodes {e.src} and {e.dst} are not adjacent")
         return e
 
     def oriented_members(self, edge: tuple[int, int]) -> frozenset[int]:
         """Component of ``src`` once the undirected edge {src, dst} is cut."""
-        e = self._require_adjacent(edge)
-        out = set()
-        queue = deque([e.src])
-        while queue:
-            node = queue.popleft()
-            out.add(node)
-            queue.extend(
-                nb for nb in self.neighbors[node] if nb not in out and nb != e.dst
-            )
-        return frozenset(out)
+        return frozenset(self.cascade.members(self._require_adjacent(edge)))
 
     @cached_property
     def oriented_variances(self) -> dict[DirectedEdge, float]:
         var: dict[DirectedEdge, float] = {}
         for e in self.directed_edge_order:
-            terms = [self.weight(e.src) ** 2]
+            terms = [self.weights.get(e.src, 0.0) ** 2]
             terms.extend(
                 var[DirectedEdge(k, e.src)]
                 for k in self.neighbors[e.src]
@@ -319,7 +453,7 @@ class TreeNetwork:
             var[e] = fsum(terms)
         return var
 
-    @cached_property
+    @property
     def directed_edge_order(self) -> tuple[DirectedEdge, ...]:
         """All 2(n-1) directed edges, every edge after its feeding edges.
 
@@ -327,12 +461,7 @@ class TreeNetwork:
         ``k`` of ``b``, whose oriented subtrees are strictly smaller, so
         ordering by oriented-subtree size gives a valid evaluation order.
         """
-        edges = []
-        for child in sorted(self.parents):
-            edges.append(DirectedEdge(child, self.parents[child]))
-            edges.append(DirectedEdge(self.parents[child], child))
-        sizes = {e: len(self.oriented_members(e)) for e in edges}
-        return tuple(sorted(edges, key=lambda e: (sizes[e], e)))
+        return self.cascade.order
 
     # -- serialization ----------------------------------------------------
 
@@ -476,13 +605,12 @@ def edge_multiplicity(net: TreeNetwork, edge: tuple[int, int]) -> int:
 
     Equals the number of nodes on the ``dst`` side of the cut.
     """
-    e = net._require_adjacent(edge)
-    return net.n_nodes - len(net.oriented_members(e))
+    return net.cascade.multiplicity(net._require_adjacent(edge))
 
 
 def directed_edges(net: TreeNetwork) -> tuple[DirectedEdge, ...]:
     """All 2(n-1) directed edges in ascending ``(src, dst)`` order."""
-    return tuple(sorted(net.directed_edge_order))
+    return net.cascade.edges
 
 
 def normalize_edge_map(

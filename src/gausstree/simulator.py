@@ -38,7 +38,7 @@ from .allocation import RateAllocation
 from .bounds import DistortionProfile
 from .errors import ConsistencyError, InputError
 from .infomeasures import test_channel_law
-from .network import DirectedEdge, TreeNetwork, directed_edges, directed_tree
+from .network import DirectedEdge, TreeNetwork, directed_edges
 
 __all__ = [
     "AnalyticModel",
@@ -204,6 +204,7 @@ def _analytic_aggregation(net: TreeNetwork, d: Mapping[int, float]) -> AnalyticM
     sigma_hat = bounds.test_channel_variances(net, d)
     d = {i: float(d[i]) for i in net.sources}
     laws = {i: test_channel_law(sigma_hat[i], d[i]) for i in net.sources}
+    downstream = net.cascade.upstream_sums(d)
 
     sources = net.sources
     x_index = {i: k for k, i in enumerate(sources)}
@@ -242,7 +243,7 @@ def _analytic_aggregation(net: TreeNetwork, d: Mapping[int, float]) -> AnalyticM
     receiver_info: dict[int, tuple] = {}
     error_rows = []
     for i in sources:
-        target = partial_sum_row(net.subtree_members(i))
+        target = partial_sum_row(net.cascade.subtree(i))
         _, est_tx, tx[i] = system.condition(target, info_at(i))
         parent_info = info_at(net.parents[i])
         gain, est_rx, rx[i] = system.condition(target, parent_info)
@@ -253,11 +254,10 @@ def _analytic_aggregation(net: TreeNetwork, d: Mapping[int, float]) -> AnalyticM
         error_rows.append(diff)
 
         _relative_check(f"link {i}: incremental distortion", inc[i], d[i], d[i])
-        downstream = fsum(d[j] for j in net.subtree_members(i) if j != i)
-        _relative_check(f"link {i}: transmit distortion", tx[i], downstream, rx[i])
+        _relative_check(f"link {i}: transmit distortion", tx[i], downstream[i], rx[i])
         _relative_check(f"link {i}: receive distortion", rx[i], tx[i] + inc[i], rx[i])
 
-    total_row = partial_sum_row(net.subtree_members(net.root))
+    total_row = partial_sum_row(net.node_ids)
     root_gain, root_estimate, total = system.condition(total_row, info_at(net.root))
     description_sum = np.sum(
         [system.rows[("V", c)] for c in net.children_of(net.root)], axis=0
@@ -300,6 +300,7 @@ def _analytic_consensus(net: TreeNetwork, d: Mapping) -> AnalyticModel:
     edges = directed_edges(net)
     d = {e: float(d[e]) for e in edges}
     laws = {e: test_channel_law(sigma_hat[e], d[e]) for e in edges}
+    downstream, per_root_ref = net.cascade.consensus_sums(d)
 
     nodes = net.node_ids
     x_index = {i: k for k, i in enumerate(nodes)}
@@ -339,7 +340,7 @@ def _analytic_consensus(net: TreeNetwork, d: Mapping) -> AnalyticModel:
     receiver_info: dict[DirectedEdge, tuple] = {}
     error_rows = []
     for e in edges:
-        target = partial_sum_row(net.oriented_members(e))
+        target = partial_sum_row(net.cascade.members(e))
         _, est_tx, tx[e] = system.condition(target, info_at(e.src, e.dst))
         dst_info = info_at(e.dst, None)
         gain, est_rx, rx[e] = system.condition(target, dst_info)
@@ -350,13 +351,7 @@ def _analytic_consensus(net: TreeNetwork, d: Mapping) -> AnalyticModel:
         error_rows.append(diff)
 
         _relative_check(f"edge {e}: incremental distortion", inc[e], d[e], d[e])
-        below = [
-            f
-            for f in directed_tree(net, e.dst)
-            if f != e and f.src in net.oriented_members(e)
-        ]
-        downstream = fsum(d[f] for f in below)
-        _relative_check(f"edge {e}: transmit distortion", tx[e], downstream, rx[e])
+        _relative_check(f"edge {e}: transmit distortion", tx[e], downstream[e], rx[e])
         _relative_check(f"edge {e}: receive distortion", rx[e], tx[e] + inc[e], rx[e])
 
     full_row = partial_sum_row(nodes)
@@ -370,7 +365,7 @@ def _analytic_consensus(net: TreeNetwork, d: Mapping) -> AnalyticModel:
             raise ConsistencyError(
                 f"node {k}: MMSE estimate differs from the description sum"
             )
-        expected = fsum(d[e] for e in directed_tree(net, k))
+        expected = per_root_ref[k]
         _relative_check(f"node {k}: consensus distortion", per_root[k], expected, expected)
 
     error_stack = np.vstack(error_rows)
@@ -603,9 +598,7 @@ def simulate_consensus(
     node_stats = {k: _mean_and_ci(node_sq[k]) for k in net.node_ids}
     inc_stats = {e: _mean_and_ci(inc_samples[e]) for e in edges}
     var_stats = {e: _mean_and_ci(var_samples[e]) for e in edges}
-    per_root_ref = {
-        k: fsum(float(d[e]) for e in directed_tree(net, k)) for k in net.node_ids
-    }
+    _, per_root_ref = net.cascade.consensus_sums({e: float(d[e]) for e in edges})
     return SimulationResult(
         mode="consensus",
         scheme="test-channel",

@@ -76,3 +76,35 @@ def equal_split(net: TreeNetwork, total: float) -> dict[int, float]:
 
 def uniform_edge_d(net: TreeNetwork, value: float) -> dict:
     return {e: value for e in directed_edges(net)}
+
+
+def shaped_tree(
+    rng: np.random.Generator, shape: str, n_nodes: int, mode: str = "aggregation"
+) -> TreeNetwork:
+    """``line``, ``star`` or ``random`` tree on ``n_nodes`` nodes rooted at 0;
+    in ``aggregation`` mode node 0 is an unweighted sink."""
+    if shape == "line":
+        parents = {i: i - 1 for i in range(1, n_nodes)}
+    elif shape == "star":
+        parents = {i: 0 for i in range(1, n_nodes)}
+    elif shape == "random":
+        parents = {i: int(rng.integers(0, i)) for i in range(1, n_nodes)}
+    else:
+        raise ValueError(shape)
+    first = 1 if mode == "aggregation" else 0
+    weights = {i: float(rng.uniform(0.2, 3.0)) for i in range(first, n_nodes)}
+    return TreeNetwork(root=0, parents=parents, weights=weights)
+
+
+def bfs_side(net: TreeNetwork, src: int, dst: int) -> set[int]:
+    """Brute-force reference: the nodes ``src`` reaches once the tree
+    edge ``{src, dst}`` is cut."""
+    seen = {src}
+    queue = [src]
+    while queue:
+        node = queue.pop()
+        for nb in net.neighbors[node]:
+            if nb != dst and nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return seen

@@ -1,0 +1,107 @@
+"""The link cascade against brute-force enumeration, on trees of up to
+300 nodes and values spread over many binades."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from gausstree import bounds, network
+from gausstree.network import (
+    TreeNetwork,
+    directed_edges,
+    directed_tree,
+    edge_multiplicity,
+    make_consensus_line,
+    make_line,
+)
+
+from helpers import bfs_side, shaped_tree
+
+shapes = st.sampled_from(["line", "star", "random"])
+sizes = st.integers(2, 300)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def spread_values(rng: np.random.Generator, keys) -> dict:
+    """Positive values log-uniform over 1e-300 .. 1e2."""
+    keys = list(keys)
+    return dict(zip(keys, (10.0 ** rng.uniform(-300, 2, len(keys))).tolist()))
+
+
+@given(shape=shapes, n=sizes, seed=seeds)
+def test_tx_is_fsum_over_strict_subtree(shape, n, seed):
+    rng = np.random.default_rng(seed)
+    net = shaped_tree(rng, shape, n)
+    inc = spread_values(rng, net.sources)
+    profile = bounds.derive_distortions(net, inc)
+    assert list(profile.tx) == list(net.sources)
+    for i in net.sources:
+        below = bfs_side(net, i, net.parents[i]) - {i}
+        assert profile.tx[i] == math.fsum(inc[j] for j in below)
+
+
+@given(shape=shapes, n=sizes, seed=seeds)
+def test_consensus_cascade_matches_enumeration(shape, n, seed):
+    rng = np.random.default_rng(seed)
+    net = shaped_tree(rng, shape, n, mode="consensus")
+    sides = {e: bfs_side(net, e.src, e.dst) for e in directed_edges(net)}
+    trees = {k: directed_tree(net, k) for k in net.node_ids}
+
+    assert directed_edges(net) == tuple(sorted(sides))
+    order = net.directed_edge_order
+    assert order == tuple(sorted(sides, key=lambda e: (len(sides[e]), e)))
+    rank = {e: k for k, e in enumerate(order)}
+    for e in order:
+        for k in net.neighbors[e.src]:
+            if k != e.dst:
+                assert rank[(k, e.src)] < rank[e]
+    uses = dict.fromkeys(sides, 0)
+    for tree in trees.values():
+        for e in tree:
+            uses[e] += 1
+    for e, side in sides.items():
+        assert edge_multiplicity(net, e) == net.n_nodes - len(side) == uses[e]
+        assert net.oriented_members(e) == frozenset(side)
+
+    inc = spread_values(rng, sides)
+    profile = bounds.consensus_derive(net, inc)
+    assert list(profile.per_root) == list(net.node_ids)
+    for k, tree in trees.items():
+        assert profile.per_root[k] == math.fsum(inc[e] for e in tree)
+    assert list(profile.tx) == list(order)
+    for e, side in sides.items():
+        below = [f for f in trees[e.dst] if f != e and f.src in side]
+        assert profile.tx[e] == math.fsum(inc[f] for f in below)
+
+
+def test_sums_overflow_like_fsum():
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308])
+    line = make_line(3, [1.0, 1.0, 1.0])
+    with pytest.raises(OverflowError):
+        line.cascade.upstream_sums({1: 1.0, 2: 1e308, 3: 1e308})
+    pair = make_consensus_line([1.0, 1.0, 1.0])
+    big = {e: 1e308 for e in directed_edges(pair)}
+    with pytest.raises(OverflowError):
+        pair.cascade.consensus_sums(big)
+
+
+def test_folds_never_enumerate_members(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("member enumeration called from a fold")
+
+    monkeypatch.setattr(TreeNetwork, "subtree_members", forbidden)
+    monkeypatch.setattr(TreeNetwork, "oriented_members", forbidden)
+    monkeypatch.setattr(network, "directed_tree", forbidden)
+    n = 3000
+    agg = make_line(n, [1.0] * n)
+    profile = bounds.derive_distortions(agg, {i: 1e-6 for i in agg.sources})
+    assert profile.tx[1] == math.fsum([1e-6] * (n - 1))
+    cons = make_consensus_line([1.0] * n)
+    order = cons.directed_edge_order
+    assert len(order) == 2 * (n - 1)
+    assert [edge_multiplicity(cons, e) for e in order[:2]] == [n - 1, n - 1]
+    profile = bounds.consensus_derive(cons, {e: 1e-6 for e in order})
+    assert profile.per_root[0] == math.fsum([1e-6] * (n - 1))

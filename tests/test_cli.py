@@ -131,6 +131,28 @@ class TestGapSweep:
         rows = cli.gap_sweep([4], [1e-6])
         assert abs(rows[0]["delta_r_bits"] - 2.2924812503605781) <= 0.05
 
+    @pytest.mark.parametrize(
+        "line_n, bad",
+        [("2..10000", "10000"), ("1..20000000", "20000000"), ("2,10001", "10001")],
+    )
+    def test_oversize_lines_are_rejected_before_any_work(
+        self, capsys, monkeypatch, line_n, bad
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a line was built before the size check")
+
+        monkeypatch.setattr(cli, "make_line", no_work)
+        code, out, err = run_capture(capsys, ["gap-sweep", "--line-n", line_n, "--D", "1e-3"])
+        assert code == 2
+        assert out == ""
+        assert f"line length {bad} exceeds the maximum 9999" in err
+
+    def test_non_finite_result_is_exit_3_not_invalid_json(self, capsys):
+        code, out, err = run_capture(capsys, ["gap-sweep", "--line-n", "2", "--D", "1e308"])
+        assert code == 3
+        assert out == ""
+        assert "not finite" in err
+
     def test_error_shrinks_monotonically(self):
         rows = cli.gap_sweep([8], [1e-2, 1e-4, 1e-6])
         errors = [abs(r["delta_minus_asymptote_bits"]) for r in rows]
