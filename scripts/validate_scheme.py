@@ -72,9 +72,7 @@ def consensus_run(args) -> None:
     print(f"  planned sum rate   : {result.sum_rate_bits:.4f} bits (closed form, Newton-checked)")
 
     model = analytic_mmse_check(net, result.profile.inc, mode="consensus")
-    cfg = SimulationConfig(
-        blocklength=args.N, trials=args.trials, seed=args.seed, mode="consensus"
-    )
+    cfg = SimulationConfig(blocklength=args.N, trials=args.trials, seed=args.seed)
     mc = simulate_consensus(net, result.profile.inc, cfg)
     for k in net.node_ids:
         print(

@@ -313,24 +313,30 @@ def test_channel_variances(net: TreeNetwork, d: Mapping[int, float]) -> dict[int
     return _test_channel_variances(net, normalize_link_map(net, d, "distortion parameters"))
 
 
-def _test_channel_variances(net: TreeNetwork, d: dict[int, float]) -> dict[int, float]:
-    sigma_hat: dict[int, float] = {}
-    for node in net.leaves_first:
-        if node == net.root:
-            continue
-        terms = [net.weights[node] ** 2]
-        terms.extend(sigma_hat[c] - d[c] for c in net.children[node])
-        var = fsum(terms)
-        if d[node] > var:
+def _test_channel_variances(net: TreeNetwork, d: Mapping, consensus: bool = False) -> dict:
+    # One fold: a link's estimate variance is w_src^2 plus the description
+    # variances sigma_hat - d of the links that feed it.
+    if consensus:
+        what, ceiling, carried = "edge", "oriented", net.oriented_variances
+    else:
+        what, ceiling, carried = "node", "subtree", net.subtree_variances
+    sigma_hat: dict = {}
+
+    def describe(link, src: int, fed: list) -> float:
+        var = fsum([net.weights[src] ** 2, *fed])
+        if d[link] > var:
             raise InfeasibleError(
-                f"node {node}: distortion {d[node]:g} exceeds test-channel variance {var:g}"
+                f"{what} {link}: distortion {d[link]:g} exceeds test-channel variance {var:g}"
             )
-        s2 = net.subtree_variances[node]
+        s2 = carried[link]
         if var > s2 * (1.0 + _RECURSION_TOL):
             raise ConsistencyError(
-                f"node {node}: test-channel variance {var:g} exceeds subtree variance {s2:g}"
+                f"{what} {link}: test-channel variance {var:g} exceeds {ceiling} variance {s2:g}"
             )
-        sigma_hat[node] = var
+        sigma_hat[link] = var
+        return var - d[link]
+
+    net.cascade.fold(describe, consensus)
     return sigma_hat
 
 
@@ -385,26 +391,7 @@ def consensus_test_channel_variances(
     """Directed test-channel variance recursion for consensus."""
     _require_consensus(net)
     d = normalize_edge_map(net, d, "distortion parameters")
-    sigma_hat: dict[DirectedEdge, float] = {}
-    for e in net.directed_edge_order:
-        terms = [net.weight(e.src) ** 2]
-        terms.extend(
-            sigma_hat[DirectedEdge(k, e.src)] - d[DirectedEdge(k, e.src)]
-            for k in net.neighbors[e.src]
-            if k != e.dst
-        )
-        var = fsum(terms)
-        if d[e] > var:
-            raise InfeasibleError(
-                f"edge {e}: distortion {d[e]:g} exceeds test-channel variance {var:g}"
-            )
-        s2 = net.oriented_variances[e]
-        if var > s2 * (1.0 + _RECURSION_TOL):
-            raise ConsistencyError(
-                f"edge {e}: test-channel variance {var:g} exceeds oriented variance {s2:g}"
-            )
-        sigma_hat[e] = var
-    return sigma_hat
+    return _test_channel_variances(net, d, consensus=True)
 
 
 def consensus_inner(net: TreeNetwork, d: Mapping[tuple[int, int], float]) -> InnerBound:

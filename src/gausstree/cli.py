@@ -257,17 +257,14 @@ def _cmd_consensus_allocate(args) -> int:
 
 def _cmd_simulate(args, force_mode: str | None = None) -> int:
     net = _load_tree(args.tree)
-    mode = force_mode or {"agg": "aggregation", "consensus": "consensus"}[args.mode]
-    scheme = {"testchannel": "test-channel", "dither": "dithered-quantizer"}[args.scheme]
-    cfg = simulator.SimulationConfig(
-        blocklength=args.N, trials=args.trials, seed=args.seed, scheme=scheme, mode=mode
-    )
-    if mode == "consensus":
-        if scheme != "test-channel":
+    consensus = (force_mode or args.mode) == "consensus"
+    cfg = simulator.SimulationConfig(blocklength=args.N, trials=args.trials, seed=args.seed)
+    if consensus:
+        if args.scheme != "testchannel":
             raise InputError("the dithered baseline is aggregation-only")
         d = _require_distortion(args, net, consensus=True)
         result = simulator.simulate_consensus(net, d, cfg)
-    elif scheme == "dithered-quantizer":
+    elif args.scheme == "dither":
         if args.d_per_link:
             profile = bounds.derive_distortions(net, _link_map(args.d_per_link))
             rates = allocation.rates_for_profile(net, profile)
@@ -291,33 +288,16 @@ def _cmd_gap_sweep(args) -> int:
     return 0
 
 
-def _default_aggregation_d(net: TreeNetwork, fraction: float = 0.1) -> dict[int, float]:
-    d: dict[int, float] = {}
-    sigma_hat: dict[int, float] = {}
-    for node in net.leaves_first:
-        if node == net.root:
-            continue
-        var = net.weight(node) ** 2 + sum(
-            sigma_hat[c] - d[c] for c in net.children_of(node)
-        )
-        sigma_hat[node] = var
-        d[node] = fraction * var
-    return d
-
-
-def _default_consensus_d(net: TreeNetwork, fraction: float = 0.1) -> dict:
-    from .network import DirectedEdge
-
+def _default_d(net: TreeNetwork, consensus: bool, fraction: float = 0.1) -> dict:
+    """Every link describes ``fraction`` of its test-channel variance."""
     d: dict = {}
-    sigma_hat: dict = {}
-    for e in net.directed_edge_order:
-        var = net.weight(e.src) ** 2 + sum(
-            sigma_hat[(k, e.src)] - d[DirectedEdge(k, e.src)]
-            for k in net.neighbors[e.src]
-            if k != e.dst
-        )
-        sigma_hat[(e.src, e.dst)] = var
-        d[e] = fraction * var
+
+    def describe(link, src: int, fed: list) -> float:
+        var = net.weight(src) ** 2 + sum(fed)
+        d[link] = fraction * var
+        return var - d[link]
+
+    net.cascade.fold(describe, consensus)
     return d
 
 
@@ -332,19 +312,11 @@ def _cmd_validate(args) -> int:
         modes = ["aggregation"] + (["consensus"] if net.fully_weighted else [])
     summary: dict[str, object] = {}
     for mode in modes:
-        if mode == "aggregation":
-            if args.d_per_link:
-                d = _link_map(args.d_per_link)
-            elif args.D is not None:
-                n = len(net.sources)
-                d = {i: args.D / n for i in net.sources}
-            else:
-                d = _default_aggregation_d(net)
+        consensus = mode == "consensus"
+        if args.d_per_link or args.D is not None:
+            d = _require_distortion(args, net, consensus)
         else:
-            if args.d_per_link:
-                d = _edge_map(args.d_per_link)
-            else:
-                d = _default_consensus_d(net)
+            d = _default_d(net, consensus)
         model = simulator.analytic_mmse_check(net, d, mode=mode)
         summary[mode] = {
             "links_checked": len(model.inc),

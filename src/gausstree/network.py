@@ -21,11 +21,25 @@ slice.  The ``2(n-1)`` directed links follow from it: oriented subtree
 sizes ``size(c -> p) = |subtree(c)|`` and ``size(p -> c) = n - size(c -> p)``,
 the multiplicities ``n - size``, an evaluation order, and every oriented
 member set as one slice or the complement of one.  The link ``b -> a``
-is fed by the links ``k -> b`` from the other neighbours ``k`` of ``b``;
+is fed by the links ``k -> b`` from the other neighbours ``k`` of ``b``.
+
+Every per-link recursion of the package -- subtree and oriented
+variances, test-channel variances, quantizer designs, the oracle's
+linear rows and each Monte-Carlo trial -- is one call of
+:meth:`LinkCascade.fold`.  It evaluates ``step(link, src, fed)`` once per
+link, after every link that feeds it: in aggregation over the uplinks
+``i -> parent(i)`` (keyed by ``i``) leaves-first, in consensus over all
+directed links in :attr:`LinkCascade.order`.  ``fed`` holds the results of
+the feeding links ascending by their source node, which is the order
+``children[i]`` and ``neighbors[src]`` list them in.  The visiting order is
+part of the contract: steps that draw random numbers or raise on the
+first bad link depend on it, and ``step`` does its own arithmetic, so
+every recursion keeps its own rounding.
+
 :meth:`LinkCascade.upstream_sums` and :meth:`LinkCascade.consensus_sums`
-fold values over the links in O(n): leaves-first every link ``c -> p``
-collects the links that feed it, then root-first every link ``p -> c``
-is rerooted as ``(all links into p) - (c -> p)``.
+sum values over the links in O(n) without a step per link: leaves-first
+every link ``c -> p`` collects the links that feed it, then root-first
+every link ``p -> c`` is rerooted as ``(all links into p) - (c -> p)``.
 
 Those folds are exact.  Every finite double is ``m * 2**e``, so the
 values are carried as integers over one common power-of-two
@@ -49,11 +63,12 @@ from __future__ import annotations
 import json
 import math
 import operator
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -156,6 +171,9 @@ class LinkCascade:
     """
 
     def __init__(self, net: "TreeNetwork") -> None:
+        # Weak: the network caches its cascade, and a strong reference back
+        # would keep both alive until the cycle collector runs.
+        self._net = weakref.proxy(net)
         n = net.n_nodes
         parent = [-1] * n
         for child, par in net.parents.items():
@@ -205,6 +223,22 @@ class LinkCascade:
             return self.subtree(src)
         end = self.position[dst] + 1
         return self.postorder[: end - self.subtree_size[dst]] + self.postorder[end:]
+
+    def fold(self, step: Callable[[object, int, list], object], consensus: bool = False) -> dict:
+        """``step(link, src, fed)`` once per link, every link after its
+        feeding links (see the module docstring); returns the results keyed
+        by link in visiting order."""
+        out: dict = {}
+        if consensus:
+            neighbors = self._net.neighbors
+            for link in self.order:
+                src, dst = link
+                out[link] = step(link, src, [out[k, src] for k in neighbors[src] if k != dst])
+        else:
+            children = self._net.children
+            for i in self.postorder[:-1]:
+                out[i] = step(i, i, [out[c] for c in children[i]])
+        return out
 
     def upstream_sums(self, values: Mapping[int, float]) -> dict[int, float]:
         """``values`` summed over the strict subtree of every non-root
@@ -353,10 +387,6 @@ class TreeNetwork:
         self._require_node(i)
         return self.children[i]
 
-    def parent_of(self, i: int) -> int | None:
-        self._require_node(i)
-        return self.parents.get(i)
-
     @cached_property
     def neighbors(self) -> dict[int, tuple[int, ...]]:
         table: dict[int, set[int]] = {i: set() for i in self.node_ids}
@@ -364,13 +394,6 @@ class TreeNetwork:
             table[child].add(parent)
             table[parent].add(child)
         return {i: tuple(sorted(adj)) for i, adj in table.items()}
-
-    def is_leaf(self, i: int) -> bool:
-        return not self.children_of(i)
-
-    def has_weight(self, i: int) -> bool:
-        self._require_node(i)
-        return i in self.weights
 
     @cached_property
     def fully_weighted(self) -> bool:
@@ -413,15 +436,16 @@ class TreeNetwork:
         self._require_node(i)
         return frozenset(self.cascade.subtree(i))
 
+    def _own_plus(self, link, src: int, fed: list) -> float:
+        # w_src^2 plus the variances fed in; fsum keeps the sums exact.
+        return fsum([self.weights.get(src, 0.0) ** 2, *fed])
+
     @cached_property
     def subtree_variances(self) -> dict[int, float]:
-        # w_i^2 plus children subtree variances, evaluated leaves-first so
-        # the recursion is a single pass; fsum keeps the sums exact.
-        var: dict[int, float] = {}
-        for node in self.leaves_first:
-            terms = [self.weights.get(node, 0.0) ** 2]
-            terms.extend(var[c] for c in self.children[node])
-            var[node] = fsum(terms)
+        """Partial-sum variance of every subtree, the root's last."""
+        var = self.cascade.fold(self._own_plus)
+        root = self.root
+        var[root] = self._own_plus(root, root, [var[c] for c in self.children[root]])
         return var
 
     def _require_adjacent(self, edge: tuple[int, int]) -> DirectedEdge:
@@ -442,16 +466,7 @@ class TreeNetwork:
 
     @cached_property
     def oriented_variances(self) -> dict[DirectedEdge, float]:
-        var: dict[DirectedEdge, float] = {}
-        for e in self.directed_edge_order:
-            terms = [self.weights.get(e.src, 0.0) ** 2]
-            terms.extend(
-                var[DirectedEdge(k, e.src)]
-                for k in self.neighbors[e.src]
-                if k != e.dst
-            )
-            var[e] = fsum(terms)
-        return var
+        return self.cascade.fold(self._own_plus, consensus=True)
 
     @property
     def directed_edge_order(self) -> tuple[DirectedEdge, ...]:
@@ -478,15 +493,6 @@ class TreeNetwork:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_parents(
-        cls,
-        parents: Mapping[int, int],
-        weights: Mapping[int, float],
-        root: int = 0,
-    ) -> "TreeNetwork":
-        return cls(root=root, parents=dict(parents), weights=dict(weights))
 
 
 def parse_tree(text: str) -> TreeNetwork:

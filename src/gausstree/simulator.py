@@ -8,14 +8,20 @@ Two layers:
   by linear conditioning (Schur complements) on the induced joint
   covariance, and asserts the accumulation identities to 1e-10 relative;
 
-* a Monte-Carlo simulator of the test-channel scheme (plus a dithered
-  scalar-quantizer baseline) that reproduces the achieved distortions
+* a Monte-Carlo simulator that reproduces the achieved distortions
   empirically with 3-sigma confidence intervals.
 
-Joint-typicality encoding is replaced by exact sampling from the
-test-channel conditional law of the description given the estimate: at
+Both layers walk the cascade with the network's link fold
+(:meth:`~gausstree.network.LinkCascade.fold`): the oracle builds each
+link's estimate and description as linear rows, and the Monte-Carlo
+engine draws them.  There is one engine for every mode and scheme; a
+scheme is an encoder that turns a link's estimate into its description.
+Two encoders exist: the test channel (aggregation and consensus), where
+joint-typicality encoding is replaced by exact sampling from the
+test-channel conditional law of the description given the estimate -- at
 infinite blocklength the two coincide, and the conditional law preserves
-every distortion identity checked here.
+every distortion identity checked here -- and a subtractive-dither
+uniform scalar quantizer (an aggregation baseline).
 
 Randomness is counter-based: each (seed, trial, role, entity) tuple keys
 an independent Philox stream, so per-node streams are reproducible and
@@ -26,9 +32,9 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import fsum
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -67,16 +73,13 @@ class SimulationConfig:
     """Monte-Carlo run parameters.
 
     ``blocklength`` samples per node vector, ``trials`` independent
-    repetitions, a 64-bit root ``seed``, the coding ``scheme``
-    (``test-channel`` or ``dithered-quantizer``) and the network ``mode``
-    (``aggregation`` or ``consensus``).
+    repetitions and a 64-bit root ``seed``.  The scheme and the mode are
+    chosen by the ``simulate_*`` function called.
     """
 
     blocklength: int
     trials: int
     seed: int
-    scheme: str = "test-channel"
-    mode: str = "aggregation"
 
     def __post_init__(self) -> None:
         if not isinstance(self.blocklength, int) or self.blocklength < 1:
@@ -85,10 +88,6 @@ class SimulationConfig:
             raise InputError(f"trials must be an integer >= 2, got {self.trials!r}")
         if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
             raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.scheme not in ("test-channel", "dithered-quantizer"):
-            raise InputError(f"unknown scheme {self.scheme!r}")
-        if self.mode not in ("aggregation", "consensus"):
-            raise InputError(f"unknown mode {self.mode!r}")
         if self.blocklength * self.trials < 1000:
             _warnings.warn(
                 "fewer than 1000 total samples; confidence intervals will be wide",
@@ -166,6 +165,27 @@ class _LinearGaussian:
         return gain, estimate, self.variance(target) - float(gain @ cov_it)
 
 
+def _sum_into(start, fed: list):
+    # Left to right from ``start``: this order of float additions is part of
+    # every seeded output.
+    for value in fed:
+        start = start + value
+    return start
+
+
+def _cascade_rows(net: TreeNetwork, system: _LinearGaussian, laws, w_index, consensus) -> None:
+    """Rows of every link's estimate ``U`` (its source's weighted data plus
+    the descriptions fed in) and description ``V = gain * U + noise``."""
+
+    def describe(link, src: int, fed: list) -> np.ndarray:
+        row = _sum_into(net.weights[src] * system.rows[("x", src)], fed)
+        system.rows[("U", link)] = row
+        system.rows[("V", link)] = laws[link].gain * row + system.basis(w_index[link])
+        return system.rows[("V", link)]
+
+    net.cascade.fold(describe, consensus)
+
+
 def _relative_check(name: str, got: float, want: float, scale: float) -> None:
     if abs(got - want) > _IDENTITY_TOL * max(abs(scale), 1e-300) + 1e-14:
         raise ConsistencyError(f"{name}: got {got!r}, expected {want!r}")
@@ -214,14 +234,7 @@ def _analytic_aggregation(net: TreeNetwork, d: Mapping[int, float]) -> AnalyticM
     )
     for i in sources:
         system.rows[("x", i)] = system.basis(x_index[i])
-    for node in net.leaves_first:
-        if node == net.root:
-            continue
-        row = net.weight(node) * system.rows[("x", node)]
-        for c in net.children_of(node):
-            row = row + system.rows[("V", c)]
-        system.rows[("U", node)] = row
-        system.rows[("V", node)] = laws[node].gain * row + system.basis(w_index[node])
+    _cascade_rows(net, system, laws, w_index, consensus=False)
 
     def partial_sum_row(members) -> np.ndarray:
         row = np.zeros(system.prim_var.size)
@@ -310,13 +323,7 @@ def _analytic_consensus(net: TreeNetwork, d: Mapping) -> AnalyticModel:
     )
     for i in nodes:
         system.rows[("x", i)] = system.basis(x_index[i])
-    for e in net.directed_edge_order:
-        row = net.weight(e.src) * system.rows[("x", e.src)]
-        for k in net.neighbors[e.src]:
-            if k != e.dst:
-                row = row + system.rows[("V", DirectedEdge(k, e.src))]
-        system.rows[("U", e)] = row
-        system.rows[("V", e)] = laws[e].gain * row + system.basis(w_index[e])
+    _cascade_rows(net, system, laws, w_index, consensus=True)
 
     def partial_sum_row(members) -> np.ndarray:
         row = np.zeros(system.prim_var.size)
@@ -482,10 +489,99 @@ class SimulationResult:
         return rows
 
 
-def _mean_and_ci(samples: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(samples))
-    stderr = float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
-    return mean, 3.0 * stderr
+def _means_and_cis(samples: Mapping[object, np.ndarray]) -> tuple[dict, dict]:
+    """Mean over the trials and its 3-sigma half-width, for every key."""
+    means, cis = {}, {}
+    for key, values in samples.items():
+        means[key] = float(np.mean(values))
+        cis[key] = 3.0 * (float(np.std(values, ddof=1)) / math.sqrt(values.size))
+    return means, cis
+
+
+def _monte_carlo(
+    net: TreeNetwork,
+    cfg: SimulationConfig,
+    encode: Callable[[int, object, np.ndarray], np.ndarray],
+    scheme: str,
+    references: dict,
+    consensus: bool = False,
+) -> SimulationResult:
+    """The one Monte-Carlo engine behind every ``simulate_*`` function.
+
+    Each trial draws every observing node's data, then folds once over the
+    links: a link's estimate is its source's weighted data plus the
+    descriptions fed in, and ``encode(trial, link, estimate)`` returns its
+    description.  Then each sink forms its estimate -- the aggregation root
+    sums the descriptions it receives, every consensus node adds them to
+    its own weighted data -- and its squared error against the target is
+    recorded.  Per-link incremental distortions, estimate variances and
+    the sink errors are averaged over trials with 3-sigma half-widths.
+    """
+    cascade = net.cascade
+    nodes = net.node_ids if consensus else net.sources
+    links = cascade.edges if consensus else net.sources
+    sinks = nodes if consensus else (net.root,)
+    weights, n_samples = net.weights, cfg.blocklength
+    inc = {link: np.empty(cfg.trials) for link in links}
+    var = {link: np.empty(cfg.trials) for link in links}
+    sink_sq = {k: np.empty(cfg.trials) for k in sinks}
+    for trial in range(cfg.trials):
+        data = {
+            i: _stream(cfg.seed, trial, _ROLE_SOURCE, i).standard_normal(n_samples)
+            for i in nodes
+        }
+
+        def transmit(link, src: int, fed: list) -> np.ndarray:
+            estimate = _sum_into(weights[src] * data[src], fed)
+            description = encode(trial, link, estimate)
+            inc[link][trial] = float(np.mean((estimate - description) ** 2))
+            var[link][trial] = float(np.mean(estimate**2))
+            return description
+
+        descriptions = cascade.fold(transmit, consensus)
+        target = sum(weights[i] * data[i] for i in nodes)
+        for k in sinks:
+            if consensus:
+                estimate = _sum_into(
+                    weights[k] * data[k], [descriptions[j, k] for j in net.neighbors[k]]
+                )
+            else:
+                estimate = _sum_into(0, [descriptions[c] for c in net.children[k]])
+            sink_sq[k][trial] = float(np.mean((target - estimate) ** 2))
+        del descriptions  # free this trial's blocks before the next trial draws
+
+    inc_mean, inc_ci = _means_and_cis(inc)
+    var_mean, var_ci = _means_and_cis(var)
+    total, total_ci = _means_and_cis(sink_sq)
+    if not consensus:
+        total, total_ci = total[net.root], total_ci[net.root]
+    return SimulationResult(
+        mode="consensus" if consensus else "aggregation",
+        scheme=scheme,
+        empirical_total=total,
+        per_link_incremental=inc_mean,
+        per_link_estimate_variance=var_mean,
+        ci_halfwidth={
+            "per_node" if consensus else "total": total_ci,
+            "inc": inc_ci,
+            "estimate_variance": var_ci,
+        },
+        references=references,
+    )
+
+
+def _test_channel(cfg: SimulationConfig, laws: Mapping, entity: Mapping):
+    """Encoder drawing each description from the exact test-channel law
+    given the estimate; ``entity[link]`` keys the link's noise stream."""
+
+    def encode(trial: int, link, estimate: np.ndarray) -> np.ndarray:
+        law = laws[link]
+        noise = _stream(cfg.seed, trial, _ROLE_CHANNEL, entity[link]).standard_normal(
+            cfg.blocklength
+        ) * math.sqrt(law.conditional_variance)
+        return law.gain * estimate + noise
+
+    return encode
 
 
 def simulate_aggregation(
@@ -501,54 +597,13 @@ def simulate_aggregation(
     """
     sigma_hat = bounds.test_channel_variances(net, d)
     laws = {i: test_channel_law(sigma_hat[i], float(d[i])) for i in net.sources}
-    n_samples = cfg.blocklength
-
-    totals = np.empty(cfg.trials)
-    inc_samples = {i: np.empty(cfg.trials) for i in net.sources}
-    var_samples = {i: np.empty(cfg.trials) for i in net.sources}
-    for trial in range(cfg.trials):
-        data = {
-            i: _stream(cfg.seed, trial, _ROLE_SOURCE, i).standard_normal(n_samples)
-            for i in net.sources
-        }
-        descriptions: dict[int, np.ndarray] = {}
-        for node in net.leaves_first:
-            if node == net.root:
-                continue
-            estimate = net.weight(node) * data[node]
-            for c in net.children_of(node):
-                estimate = estimate + descriptions[c]
-            law = laws[node]
-            noise = _stream(cfg.seed, trial, _ROLE_CHANNEL, node).standard_normal(
-                n_samples
-            ) * math.sqrt(law.conditional_variance)
-            descriptions[node] = law.gain * estimate + noise
-            inc_samples[node][trial] = float(np.mean((estimate - descriptions[node]) ** 2))
-            var_samples[node][trial] = float(np.mean(estimate**2))
-        target = sum(net.weight(i) * data[i] for i in net.sources)
-        sink = sum(descriptions[c] for c in net.children_of(net.root))
-        totals[trial] = float(np.mean((target - sink) ** 2))
-
-    total_mean, total_ci = _mean_and_ci(totals)
-    inc_stats = {i: _mean_and_ci(inc_samples[i]) for i in net.sources}
-    var_stats = {i: _mean_and_ci(var_samples[i]) for i in net.sources}
-    return SimulationResult(
-        mode="aggregation",
-        scheme="test-channel",
-        empirical_total=total_mean,
-        per_link_incremental={i: inc_stats[i][0] for i in net.sources},
-        per_link_estimate_variance={i: var_stats[i][0] for i in net.sources},
-        ci_halfwidth={
-            "total": total_ci,
-            "inc": {i: inc_stats[i][1] for i in net.sources},
-            "estimate_variance": {i: var_stats[i][1] for i in net.sources},
-        },
-        references={
-            "total": fsum(float(d[i]) for i in net.sources),
-            "inc": {i: float(d[i]) for i in net.sources},
-            "estimate_variance": sigma_hat,
-        },
-    )
+    references = {
+        "total": fsum(float(d[i]) for i in net.sources),
+        "inc": {i: float(d[i]) for i in net.sources},
+        "estimate_variance": sigma_hat,
+    }
+    encode = _test_channel(cfg, laws, {i: i for i in net.sources})
+    return _monte_carlo(net, cfg, encode, "test-channel", references)
 
 
 def simulate_consensus(
@@ -563,60 +618,16 @@ def simulate_consensus(
     """
     sigma_hat = bounds.consensus_test_channel_variances(net, d)
     edges = directed_edges(net)
-    edge_index = {e: k for k, e in enumerate(edges)}
     laws = {e: test_channel_law(sigma_hat[e], float(d[e])) for e in edges}
-    n_samples = cfg.blocklength
-
-    node_sq = {k: np.empty(cfg.trials) for k in net.node_ids}
-    inc_samples = {e: np.empty(cfg.trials) for e in edges}
-    var_samples = {e: np.empty(cfg.trials) for e in edges}
-    for trial in range(cfg.trials):
-        data = {
-            i: _stream(cfg.seed, trial, _ROLE_SOURCE, i).standard_normal(n_samples)
-            for i in net.node_ids
-        }
-        descriptions: dict[DirectedEdge, np.ndarray] = {}
-        for e in net.directed_edge_order:
-            estimate = net.weight(e.src) * data[e.src]
-            for k in net.neighbors[e.src]:
-                if k != e.dst:
-                    estimate = estimate + descriptions[DirectedEdge(k, e.src)]
-            law = laws[e]
-            noise = _stream(
-                cfg.seed, trial, _ROLE_CHANNEL, edge_index[e]
-            ).standard_normal(n_samples) * math.sqrt(law.conditional_variance)
-            descriptions[e] = law.gain * estimate + noise
-            inc_samples[e][trial] = float(np.mean((estimate - descriptions[e]) ** 2))
-            var_samples[e][trial] = float(np.mean(estimate**2))
-        target = sum(net.weight(i) * data[i] for i in net.node_ids)
-        for k in net.node_ids:
-            estimate = net.weight(k) * data[k]
-            for j in net.neighbors[k]:
-                estimate = estimate + descriptions[DirectedEdge(j, k)]
-            node_sq[k][trial] = float(np.mean((target - estimate) ** 2))
-
-    node_stats = {k: _mean_and_ci(node_sq[k]) for k in net.node_ids}
-    inc_stats = {e: _mean_and_ci(inc_samples[e]) for e in edges}
-    var_stats = {e: _mean_and_ci(var_samples[e]) for e in edges}
     _, per_root_ref = net.cascade.consensus_sums({e: float(d[e]) for e in edges})
-    return SimulationResult(
-        mode="consensus",
-        scheme="test-channel",
-        empirical_total={k: node_stats[k][0] for k in net.node_ids},
-        per_link_incremental={e: inc_stats[e][0] for e in edges},
-        per_link_estimate_variance={e: var_stats[e][0] for e in edges},
-        ci_halfwidth={
-            "per_node": {k: node_stats[k][1] for k in net.node_ids},
-            "inc": {e: inc_stats[e][1] for e in edges},
-            "estimate_variance": {e: var_stats[e][1] for e in edges},
-        },
-        references={
-            "per_node": per_root_ref,
-            "total": fsum(per_root_ref.values()),
-            "inc": {e: float(d[e]) for e in edges},
-            "estimate_variance": sigma_hat,
-        },
-    )
+    references = {
+        "per_node": per_root_ref,
+        "total": fsum(per_root_ref.values()),
+        "inc": {e: float(d[e]) for e in edges},
+        "estimate_variance": sigma_hat,
+    }
+    encode = _test_channel(cfg, laws, {e: k for k, e in enumerate(edges)})
+    return _monte_carlo(net, cfg, encode, "test-channel", references, consensus=True)
 
 
 def _dither_design(net: TreeNetwork, rates: Mapping[int, float]):
@@ -628,20 +639,18 @@ def _dither_design(net: TreeNetwork, rates: Mapping[int, float]):
     variance: dict[int, float] = {}
     step: dict[int, float] = {}
     clip: dict[int, float] = {}
-    for node in net.leaves_first:
-        if node == net.root:
-            continue
+
+    def design(node: int, src: int, fed: list) -> float:
         rate = float(rates[node])
         if not (rate >= 0.0 and math.isfinite(rate)):
             raise InputError(f"link {node}: rate must be non-negative, got {rate!r}")
-        terms = [net.weight(node) ** 2]
-        for c in net.children_of(node):
-            if float(rates[c]) > 0.0:
-                terms.append(variance[c] + step[c] ** 2 / 12.0)
-        variance[node] = fsum(terms)
-        sigma = math.sqrt(variance[node])
-        clip[node] = _DITHER_CLIP_SIGMAS * sigma
+        variance[node] = fsum([net.weights[node] ** 2, *fed])
+        clip[node] = _DITHER_CLIP_SIGMAS * math.sqrt(variance[node])
         step[node] = 2.0 * clip[node] / 2.0**rate if rate > 0.0 else 0.0
+        # A rate-0 link sends nothing, so it feeds no variance downstream.
+        return variance[node] + step[node] ** 2 / 12.0 if rate > 0.0 else 0.0
+
+    net.cascade.fold(design)
     return variance, step, clip
 
 
@@ -651,14 +660,13 @@ def matched_test_channel_distortions(
     """Distortions the test-channel scheme achieves at the given rates:
     ``d_i = sigma_hat_i^2 * 4**(-R_i)`` along the variance recursion."""
     d: dict[int, float] = {}
-    sigma_hat: dict[int, float] = {}
-    for node in net.leaves_first:
-        if node == net.root:
-            continue
-        terms = [net.weight(node) ** 2]
-        terms.extend(sigma_hat[c] - d[c] for c in net.children_of(node))
-        sigma_hat[node] = fsum(terms)
-        d[node] = sigma_hat[node] * 4.0 ** (-float(rates[node]))
+
+    def describe(node: int, src: int, fed: list) -> float:
+        sigma_hat = fsum([net.weights[node] ** 2, *fed])
+        d[node] = sigma_hat * 4.0 ** (-float(rates[node]))
+        return sigma_hat - d[node]
+
+    net.cascade.fold(describe)
     return d
 
 
@@ -679,66 +687,30 @@ def simulate_dithered_baseline(
     rate_map = {i: float(rates.per_link_rate_bits[i]) for i in net.sources}
     variance, step, clip = _dither_design(net, rate_map)
     n_samples = cfg.blocklength
+    saturated = {i: np.empty(cfg.trials) for i in net.sources}
 
-    totals = np.empty(cfg.trials)
-    inc_samples = {i: np.empty(cfg.trials) for i in net.sources}
-    var_samples = {i: np.empty(cfg.trials) for i in net.sources}
-    sat_samples = {i: np.empty(cfg.trials) for i in net.sources}
-    for trial in range(cfg.trials):
-        data = {
-            i: _stream(cfg.seed, trial, _ROLE_SOURCE, i).standard_normal(n_samples)
-            for i in net.sources
-        }
-        descriptions: dict[int, np.ndarray] = {}
-        for node in net.leaves_first:
-            if node == net.root:
-                continue
-            estimate = net.weight(node) * data[node]
-            for c in net.children_of(node):
-                estimate = estimate + descriptions[c]
-            if rate_map[node] > 0.0:
-                dither = _stream(cfg.seed, trial, _ROLE_DITHER, node).uniform(
-                    -0.5 * step[node], 0.5 * step[node], n_samples
-                )
-                shifted = estimate + dither
-                sat_samples[node][trial] = float(np.mean(np.abs(shifted) > clip[node]))
-                clipped = np.clip(shifted, -clip[node], clip[node])
-                descriptions[node] = step[node] * np.round(clipped / step[node]) - dither
-            else:
-                descriptions[node] = np.zeros(n_samples)
-                sat_samples[node][trial] = 0.0
-            inc_samples[node][trial] = float(
-                np.mean((estimate - descriptions[node]) ** 2)
+    def quantize(trial: int, node: int, estimate: np.ndarray) -> np.ndarray:
+        if rate_map[node] > 0.0:
+            dither = _stream(cfg.seed, trial, _ROLE_DITHER, node).uniform(
+                -0.5 * step[node], 0.5 * step[node], n_samples
             )
-            var_samples[node][trial] = float(np.mean(estimate**2))
-        target = sum(net.weight(i) * data[i] for i in net.sources)
-        sink = sum(descriptions[c] for c in net.children_of(net.root))
-        totals[trial] = float(np.mean((target - sink) ** 2))
+            shifted = estimate + dither
+            saturated[node][trial] = float(np.mean(np.abs(shifted) > clip[node]))
+            clipped = np.clip(shifted, -clip[node], clip[node])
+            return step[node] * np.round(clipped / step[node]) - dither
+        saturated[node][trial] = 0.0
+        return np.zeros(n_samples)
 
-    total_mean, total_ci = _mean_and_ci(totals)
-    inc_stats = {i: _mean_and_ci(inc_samples[i]) for i in net.sources}
-    var_stats = {i: _mean_and_ci(var_samples[i]) for i in net.sources}
     nominal = {
         i: step[i] ** 2 / 12.0 if rate_map[i] > 0.0 else variance[i]
         for i in net.sources
     }
-    return SimulationResult(
-        mode="aggregation",
-        scheme="dithered-quantizer",
-        empirical_total=total_mean,
-        per_link_incremental={i: inc_stats[i][0] for i in net.sources},
-        per_link_estimate_variance={i: var_stats[i][0] for i in net.sources},
-        ci_halfwidth={
-            "total": total_ci,
-            "inc": {i: inc_stats[i][1] for i in net.sources},
-            "estimate_variance": {i: var_stats[i][1] for i in net.sources},
-        },
-        references={
-            "total": fsum(nominal[i] for i in net.sources),
-            "inc": nominal,
-            "estimate_variance": variance,
-        },
-        saturation_rate={
-            i: float(np.mean(sat_samples[i])) for i in net.sources
-        },
+    references = {
+        "total": fsum(nominal[i] for i in net.sources),
+        "inc": nominal,
+        "estimate_variance": variance,
+    }
+    result = _monte_carlo(net, cfg, quantize, "dithered-quantizer", references)
+    return replace(
+        result, saturation_rate={i: float(np.mean(saturated[i])) for i in net.sources}
     )

@@ -38,17 +38,7 @@ def random_feasible_d(
 ) -> dict[int, float]:
     """Per-link distortions that are feasible by construction: each node
     describes a random fraction of its own test-channel variance."""
-    d: dict[int, float] = {}
-    sigma_hat: dict[int, float] = {}
-    for node in net.leaves_first:
-        if node == net.root:
-            continue
-        var = net.weight(node) ** 2 + sum(
-            sigma_hat[c] - d[c] for c in net.children_of(node)
-        )
-        sigma_hat[node] = var
-        d[node] = float(rng.uniform(*fractions)) * var
-    return d
+    return _random_fractions(rng, net, fractions, consensus=False)
 
 
 def random_feasible_consensus_d(
@@ -56,16 +46,18 @@ def random_feasible_consensus_d(
     net: TreeNetwork,
     fractions: tuple[float, float] = (0.05, 0.7),
 ) -> dict:
+    return _random_fractions(rng, net, fractions, consensus=True)
+
+
+def _random_fractions(rng, net: TreeNetwork, fractions, consensus: bool) -> dict:
     d: dict = {}
-    sigma_hat: dict = {}
-    for e in net.directed_edge_order:
-        var = net.weight(e.src) ** 2 + sum(
-            sigma_hat[(k, e.src)] - d[(k, e.src)]
-            for k in net.neighbors[e.src]
-            if k != e.dst
-        )
-        sigma_hat[e] = var
-        d[e] = float(rng.uniform(*fractions)) * var
+
+    def describe(link, src: int, fed: list) -> float:
+        var = net.weight(src) ** 2 + sum(fed)
+        d[link] = float(rng.uniform(*fractions)) * var
+        return var - d[link]
+
+    net.cascade.fold(describe, consensus)
     return d
 
 

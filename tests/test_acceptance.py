@@ -185,9 +185,7 @@ def test_acceptance_07_consensus_accumulation_and_allocation():
         rate_gap = abs(kkt.sum_rate_bits - numeric.sum_rate_bits)
         assert rate_gap <= 1e-6
 
-        cfg = SimulationConfig(
-            blocklength=5_000, trials=100, seed=77, mode="consensus"
-        )
+        cfg = SimulationConfig(blocklength=5_000, trials=100, seed=77)
         result = simulate_consensus(net, kkt.profile.inc, cfg)
         for k in net.node_ids:
             reference = result.references["per_node"][k]

@@ -105,3 +105,25 @@ def test_folds_never_enumerate_members(monkeypatch):
     assert [edge_multiplicity(cons, e) for e in order[:2]] == [n - 1, n - 1]
     profile = bounds.consensus_derive(cons, {e: 1e-6 for e in order})
     assert profile.per_root[0] == math.fsum([1e-6] * (n - 1))
+
+
+
+@given(shape=shapes, n=sizes, seed=seeds, consensus=st.booleans())
+def test_fold_visits_each_link_once_after_its_feeding_links(shape, n, seed, consensus):
+    mode = "consensus" if consensus else "aggregation"
+    net = shaped_tree(np.random.default_rng(seed), shape, n, mode)
+    seen = []
+
+    def step(link, src, fed):  # each result is the link itself
+        seen.append(link)
+        if consensus:
+            assert src == link.src
+            assert fed == [(k, src) for k in sorted(net.neighbors[src]) if k != link.dst]
+        else:
+            assert src == link
+            assert fed == sorted(net.children[link])
+        return link
+
+    out = net.cascade.fold(step, consensus)
+    assert tuple(seen) == (net.directed_edge_order if consensus else net.leaves_first[:-1])
+    assert list(out.items()) == [(link, link) for link in seen]

@@ -218,6 +218,25 @@ class TestValidate:
         assert code == 0
         assert json.loads(out)["aggregation"]["links_checked"] == 3
 
+    @pytest.mark.parametrize("budget", [0.01, 0.5])
+    def test_validate_consensus_uses_the_budget(self, capsys, consensus3_path, budget):
+        code, out, _ = run_capture(
+            capsys,
+            ["validate", "--tree", consensus3_path, "--mode", "consensus", "--D", str(budget)],
+        )
+        assert code == 0
+        assert json.loads(out)["consensus"]["total_distortion"] == pytest.approx(budget, rel=1e-9)
+
+    @pytest.mark.parametrize("mode", ["agg", "consensus"])
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_validate_non_positive_budget_is_exit_3(self, capsys, consensus3_path, mode, budget):
+        code, out, err = run_capture(
+            capsys, ["validate", "--tree", consensus3_path, "--mode", mode, "--D", budget]
+        )
+        assert code == 3
+        assert out == ""
+        assert "infeasible" in err
+
     def test_dither_scheme_runs(self, capsys, line3_path):
         code, out, _ = run_capture(
             capsys,

@@ -152,6 +152,19 @@ class TestSubtrees:
         with pytest.raises(TreeError):
             subtree_stats(net, 9)
 
+    def test_root_variance_of_aggregation_tree(self):
+        # The sink carries no weight: the root's subtree sums every source.
+        net = TreeNetwork(root=0, parents={1: 0, 2: 1, 3: 0}, weights={1: 1.0, 2: 2.0, 3: 3.0})
+        stats = subtree_stats(net, net.root)
+        assert stats.members == frozenset({0, 1, 2, 3})
+        assert stats.variance == 1.0 + 4.0 + 9.0
+
+    def test_root_variance_of_consensus_tree(self):
+        net = TreeNetwork(root=1, parents={0: 1, 2: 1}, weights={0: 1.0, 1: 2.0, 2: 3.0})
+        stats = subtree_stats(net, net.root)
+        assert stats.members == frozenset({0, 1, 2})
+        assert stats.variance == 1.0 + 4.0 + 9.0
+
 
 class TestDirectedTrees:
     def test_line_towards_stored_root(self):

@@ -39,10 +39,6 @@ class TestConfig:
             SimulationConfig(blocklength=10, trials=1, seed=0)
         with pytest.raises(InputError):
             SimulationConfig(blocklength=10, trials=10, seed=-1)
-        with pytest.raises(InputError):
-            SimulationConfig(blocklength=10, trials=10, seed=0, scheme="magic")
-        with pytest.raises(InputError):
-            SimulationConfig(blocklength=10, trials=10, seed=0, mode="ring")
 
     def test_warns_on_tiny_sample_budget(self):
         with pytest.warns(UserWarning, match="1000"):
@@ -283,6 +279,19 @@ class TestDitheredBaseline:
         rates = allocation.allocate_equal_incremental(net, 0.02)
         result = simulate_dithered_baseline(net, rates, quiet_cfg())
         assert 0.0 <= result.saturation_rate[1] < 5e-3
+
+    @pytest.mark.parametrize("bad_rate", [-1.0, float("nan")])
+    def test_rejects_negative_or_nan_rates(self, bad_rate):
+        net = make_line(2, [1.0, 1.0])
+        base = allocation.allocate_equal_incremental(net, 0.02)
+        rates = allocation.RateAllocation(
+            method=base.method,
+            per_link_rate_bits={1: base.per_link_rate_bits[1], 2: bad_rate},
+            profile=base.profile,
+            sum_rate_bits=base.sum_rate_bits,
+        )
+        with pytest.raises(InputError, match="link 2: rate must be non-negative"):
+            simulate_dithered_baseline(net, rates, quiet_cfg())
 
     def test_rejects_consensus_allocations(self):
         net = make_consensus_line([1.0, 1.0])
