@@ -110,8 +110,10 @@ def allocate_equal_incremental(net: TreeNetwork, total_distortion: float) -> Rat
     total_distortion = _check_budget(total_distortion)
     n = len(net.sources)
     inc = {i: total_distortion / n for i in net.sources}
-    inner = bounds.inner_bound(net, inc)  # validates feasibility
-    profile = bounds.derive_distortions(net, inc)
+    # inner_bound validates the map (D/n can underflow to 0.0) and its
+    # feasibility, so deriving the profile need not validate it again.
+    inner = bounds.inner_bound(net, inc)
+    profile = bounds._derive(net, inc)
     return RateAllocation(
         method="equal-split",
         per_link_rate_bits=inner.per_link_rate_bits,

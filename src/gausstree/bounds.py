@@ -7,9 +7,12 @@ bound, the Gaussian-codebook inner bound driven by the test-channel
 variance recursion, and the gap between the two outer bounds together
 with its line-network asymptote ``0.5 * log2(n!)``.
 
-Consensus mode repeats the same structure once per directed edge, with
-oriented subtrees replacing rooted subtrees and per-root distortions
-summing the incremental distortions along each directed tree.
+Consensus mode evaluates the same per-link formulas once per directed
+edge, with oriented subtrees replacing rooted subtrees and per-root
+distortions summing the incremental distortions along each directed
+tree.  One private loop per bound (penalty, outer bound, test-channel
+recursion, inner bound) serves both modes; the public consensus
+functions only check that every node is weighted and validate the map.
 
 The accumulation sums are one fold over the network's link cascade
 (:class:`~gausstree.network.LinkCascade`), O(n) in both modes, and
@@ -52,7 +55,6 @@ __all__ = [
     "consensus_derive",
     "consensus_inner",
     "consensus_outer",
-    "consensus_penalty",
     "consensus_report",
     "consensus_test_channel_variances",
     "cutset_bound",
@@ -124,7 +126,11 @@ def derive_distortions(net: TreeNetwork, inc: Mapping[int, float]) -> Distortion
         With ``rx = tx + inc`` per link and ``total = sum(inc)``, all
         exact; deriving twice is idempotent.
     """
-    inc = normalize_link_map(net, inc, "incremental distortions")
+    return _derive(net, normalize_link_map(net, inc, "incremental distortions"))
+
+
+def _derive(net: TreeNetwork, inc: dict[int, float]) -> DistortionProfile:
+    # derive_distortions for a map already validated by normalize_link_map.
     tx = net.cascade.upstream_sums(inc)
     rx = {i: tx[i] + inc[i] for i in net.sources}
     return DistortionProfile(inc=inc, tx=tx, rx=rx, total=fsum(inc.values()))
@@ -178,25 +184,14 @@ def outer_bound_penalty(net: TreeNetwork, i: int, x: float) -> float:
     return _link_penalty(net, i, x)
 
 
-def _link_penalty(net: TreeNetwork, i: int, x: float) -> float:
-    """:func:`outer_bound_penalty` for a node already known to be a source."""
+def _link_penalty(net: TreeNetwork, link, x: float, consensus: bool = False) -> float:
+    """:func:`outer_bound_penalty` for an existing link of the mode, read
+    with the variance it carries and the weight of its transmitting node
+    (a consensus edge uses its oriented subtree and its ``src``)."""
     if not (x >= 0.0 and math.isfinite(x)):
         raise InputError(f"penalty argument must be non-negative, got {x!r}")
-    s2 = net.subtree_variances[i]
-    w2 = net.weights[i] ** 2
-    return x / (2.0 * w2) + LOG2E / (2.0 * s2) * math.sqrt(2.0 * x * (4.0 * s2 + x))
-
-
-def consensus_penalty(net: TreeNetwork, edge: tuple[int, int], x: float) -> float:
-    """Directed-edge analog of :func:`outer_bound_penalty`: uses the
-    transmitting node's weight and the oriented-subtree variance."""
-    e = net._require_adjacent(edge)
-    if not (x >= 0.0 and math.isfinite(x)):
-        raise InputError(f"penalty argument must be non-negative, got {x!r}")
-    s2 = net.oriented_variances[e]
-    w2 = net.weight(e.src) ** 2
-    if w2 == 0.0:
-        raise InputError(f"edge {e}: transmitting node carries no weight")
+    s2 = (net.oriented_variances if consensus else net.subtree_variances)[link]
+    w2 = net.weights[link.src if consensus else link] ** 2
     return x / (2.0 * w2) + LOG2E / (2.0 * s2) * math.sqrt(2.0 * x * (4.0 * s2 + x))
 
 
@@ -214,13 +209,19 @@ def outer_bound_incremental(net: TreeNetwork, profile: DistortionProfile) -> Out
     Per link: ``0.5 * (log2(s2_i / inc_i) - penalty_i(tx_i))``, reported
     raw (no clipping).
     """
+    return _outer_bound(net, profile, consensus=False)
+
+
+def _outer_bound(net: TreeNetwork, profile, consensus: bool) -> OuterBound:
+    links = directed_edges(net) if consensus else net.sources
+    carried = net.oriented_variances if consensus else net.subtree_variances
     per_link = {}
-    for i in net.sources:
-        s2 = net.subtree_variances[i]
-        per_link[i] = 0.5 * (
-            log2(s2 / profile.inc[i]) - _link_penalty(net, i, profile.tx[i])
+    for link in links:
+        per_link[link] = 0.5 * (
+            log2(carried[link] / profile.inc[link])
+            - _link_penalty(net, link, profile.tx[link], consensus)
         )
-    return OuterBound(fsum(per_link[i] for i in net.sources), per_link)
+    return OuterBound(fsum(per_link[link] for link in links), per_link)
 
 
 def outer_bound_closed_form(net: TreeNetwork, total_distortion: float) -> float:
@@ -228,10 +229,8 @@ def outer_bound_closed_form(net: TreeNetwork, total_distortion: float) -> float:
     ``0.5 * log2(prod(s2_i) / (D/n)^n) - 0.5 * sum_i penalty_i(D)``."""
     if not (total_distortion > 0.0 and math.isfinite(total_distortion)):
         raise InfeasibleError(f"total distortion must be positive, got {total_distortion!r}")
-    n = len(net.sources)
-    log_product = fsum(log2(net.subtree_variances[i]) for i in net.sources)
     penalty = fsum(_link_penalty(net, i, total_distortion) for i in net.sources)
-    return 0.5 * (log_product - n * log2(total_distortion / n)) - 0.5 * penalty
+    return _equal_split_rate(net, total_distortion / len(net.sources)) - 0.5 * penalty
 
 
 def cutset_bound(net: TreeNetwork, profile: DistortionProfile) -> float:
@@ -276,13 +275,7 @@ def consensus_outer(net: TreeNetwork, profile: ConsensusProfile) -> OuterBound:
     """Incremental-distortion outer bound on the consensus sum rate,
     summed over all directed edges with oriented-subtree variances."""
     _require_consensus(net)
-    per_edge = {}
-    for e in directed_edges(net):
-        s2 = net.oriented_variances[e]
-        per_edge[e] = 0.5 * (
-            log2(s2 / profile.inc[e]) - consensus_penalty(net, e, profile.tx[e])
-        )
-    return OuterBound(fsum(per_edge[e] for e in directed_edges(net)), per_edge)
+    return _outer_bound(net, profile, consensus=True)
 
 
 def classical_consensus_comparator_bits(n: int, total_distortion: float) -> float:
@@ -316,10 +309,8 @@ def test_channel_variances(net: TreeNetwork, d: Mapping[int, float]) -> dict[int
 def _test_channel_variances(net: TreeNetwork, d: Mapping, consensus: bool = False) -> dict:
     # One fold: a link's estimate variance is w_src^2 plus the description
     # variances sigma_hat - d of the links that feed it.
-    if consensus:
-        what, ceiling, carried = "edge", "oriented", net.oriented_variances
-    else:
-        what, ceiling, carried = "node", "subtree", net.subtree_variances
+    what, ceiling = ("edge", "oriented") if consensus else ("node", "subtree")
+    carried = net.oriented_variances if consensus else net.subtree_variances
     sigma_hat: dict = {}
 
     def describe(link, src: int, fed: list) -> float:
@@ -357,14 +348,27 @@ def inner_bound(net: TreeNetwork, d: Mapping[int, float]) -> InnerBound:
     the test-channel variances, so this is achievable) and distortion
     ``sum_i d_i``; validates the test-channel variance recursion.
     """
-    d = normalize_link_map(net, d, "distortion parameters")
-    sigma_hat = _test_channel_variances(net, d)
-    per_link = {
-        i: 0.5 * log2(net.subtree_variances[i] / d[i]) for i in net.sources
-    }
+    return _inner_bound(net, normalize_link_map(net, d, "distortion parameters"))
+
+
+def _inner_bound(
+    net: TreeNetwork, d: Mapping, consensus: bool = False, per_root: Mapping | None = None
+) -> InnerBound:
+    # inner_bound or consensus_inner for a validated map; a caller holding
+    # the per-root totals of d passes them instead of folding d again.
+    sigma_hat = _test_channel_variances(net, d, consensus)
+    links = directed_edges(net) if consensus else net.sources
+    carried = net.oriented_variances if consensus else net.subtree_variances
+    per_link = {link: 0.5 * log2(carried[link] / d[link]) for link in links}
+    if consensus:
+        if per_root is None:
+            _, per_root = net.cascade.consensus_sums(d)
+        distortion = fsum(per_root.values())
+    else:
+        distortion = fsum(d[i] for i in links)
     return InnerBound(
-        rate_bits=fsum(per_link[i] for i in net.sources),
-        distortion=fsum(d[i] for i in net.sources),
+        rate_bits=fsum(per_link[link] for link in links),
+        distortion=distortion,
         sigma_hat=sigma_hat,
         per_link_rate_bits=per_link,
     )
@@ -390,26 +394,14 @@ def consensus_test_channel_variances(
 ) -> dict[DirectedEdge, float]:
     """Directed test-channel variance recursion for consensus."""
     _require_consensus(net)
-    d = normalize_edge_map(net, d, "distortion parameters")
-    return _test_channel_variances(net, d, consensus=True)
+    return _test_channel_variances(net, normalize_edge_map(net, d, "distortion parameters"), True)
 
 
 def consensus_inner(net: TreeNetwork, d: Mapping[tuple[int, int], float]) -> InnerBound:
     """Gaussian-codebook inner bound for consensus: rate summed over all
     directed edges, distortion summed per root over its directed tree."""
-    sigma_hat = consensus_test_channel_variances(net, d)
-    d = normalize_edge_map(net, d, "distortion parameters")
-    per_edge = {
-        e: 0.5 * log2(net.oriented_variances[e] / d[e]) for e in directed_edges(net)
-    }
-    _, per_root = net.cascade.consensus_sums(d)
-    distortion = fsum(per_root.values())
-    return InnerBound(
-        rate_bits=fsum(per_edge[e] for e in directed_edges(net)),
-        distortion=distortion,
-        sigma_hat=sigma_hat,
-        per_link_rate_bits=per_edge,
-    )
+    _require_consensus(net)
+    return _inner_bound(net, normalize_edge_map(net, d, "distortion parameters"), True)
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +529,7 @@ def full_report(
     the budget the closed-form bounds are evaluated at).
     """
     equal_split = inc is None
-    if not equal_split:
-        inc = normalize_link_map(net, inc, "incremental distortions")
-        total_distortion = fsum(inc.values())
-    else:
+    if equal_split:
         if total_distortion is None:
             raise InputError("either a total distortion or a per-link map is required")
         if not (total_distortion > 0.0 and math.isfinite(total_distortion)):
@@ -549,12 +538,16 @@ def full_report(
             )
         n = len(net.sources)
         inc = {i: total_distortion / n for i in net.sources}
-    profile = derive_distortions(net, inc)
+    # The one validation of the map (an equal split's D/n can underflow to 0).
+    inc = normalize_link_map(net, inc, "incremental distortions")
+    if not equal_split:
+        total_distortion = fsum(inc.values())
+    profile = _derive(net, inc)
     outer = outer_bound_incremental(net, profile)
     cut = cutset_bound(net, profile)
     closed = outer_bound_closed_form(net, total_distortion)
-    inner = inner_bound(net, inc)
-    if equal_split:  # inner_bound has just validated this very split
+    inner = _inner_bound(net, inc)
+    if equal_split:  # _inner_bound has just checked this very split
         minimized = _equal_split_rate(net, total_distortion / len(net.sources))
     else:
         minimized = inner_bound_minimized(net, total_distortion)
@@ -579,8 +572,8 @@ def consensus_report(
 ) -> BoundsReport:
     """Consensus :class:`BoundsReport` for an explicit per-edge profile."""
     profile = consensus_derive(net, inc)
-    outer = consensus_outer(net, profile)
-    inner = consensus_inner(net, profile.inc)
+    outer = _outer_bound(net, profile, consensus=True)
+    inner = _inner_bound(net, profile.inc, True, profile.per_root)
     return BoundsReport(
         mode="consensus",
         total_distortion=total_distortion,

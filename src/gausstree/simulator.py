@@ -14,8 +14,11 @@ Two layers:
 Both layers walk the cascade with the network's link fold
 (:meth:`~gausstree.network.LinkCascade.fold`): the oracle builds each
 link's estimate and description as linear rows, and the Monte-Carlo
-engine draws them.  There is one engine for every mode and scheme; a
-scheme is an encoder that turns a link's estimate into its description.
+engine draws them.  Each layer has one body for both modes, and only its
+setup branches on the mode: the observing nodes, the links, the sinks
+and the reference sums (aggregation is consensus restricted to the
+directed tree towards the root).  A scheme is an encoder that turns a
+link's estimate into its description.
 Two encoders exist: the test channel (aggregation and consensus), where
 joint-typicality encoding is replaced by exact sampling from the
 test-channel conditional law of the description given the estimate -- at
@@ -173,19 +176,6 @@ def _sum_into(start, fed: list):
     return start
 
 
-def _cascade_rows(net: TreeNetwork, system: _LinearGaussian, laws, w_index, consensus) -> None:
-    """Rows of every link's estimate ``U`` (its source's weighted data plus
-    the descriptions fed in) and description ``V = gain * U + noise``."""
-
-    def describe(link, src: int, fed: list) -> np.ndarray:
-        row = _sum_into(net.weights[src] * system.rows[("x", src)], fed)
-        system.rows[("U", link)] = row
-        system.rows[("V", link)] = laws[link].gain * row + system.basis(w_index[link])
-        return system.rows[("V", link)]
-
-    net.cascade.fold(describe, consensus)
-
-
 def _relative_check(name: str, got: float, want: float, scale: float) -> None:
     if abs(got - want) > _IDENTITY_TOL * max(abs(scale), 1e-300) + 1e-14:
         raise ConsistencyError(f"{name}: got {got!r}, expected {want!r}")
@@ -210,192 +200,119 @@ def analytic_mmse_check(
     all MMSE quantities are exact.  Verifies, per link: the incremental
     distortion equals the tuning parameter, the transmit distortion sums
     the strictly-downstream parameters, and receive = transmit +
-    incremental; end-to-end, the total distortion equals the parameter
-    sum.  Violations raise :class:`~gausstree.errors.ConsistencyError`.
+    incremental; per sink, that its MMSE estimate is the sum of what it
+    receives (plus its own data) and that its distortion is the parameter
+    sum over its directed tree.  Violations raise
+    :class:`~gausstree.errors.ConsistencyError`.
+
+    One body serves both modes: aggregation checks the uplinks (keyed by
+    source node) and the one sink ``net.root``, whose weight is ignored;
+    consensus checks every directed edge, and every node is a sink.
     """
-    if mode == "aggregation":
-        return _analytic_aggregation(net, d)
-    if mode == "consensus":
-        return _analytic_consensus(net, d)
-    raise InputError(f"unknown mode {mode!r}")
+    if mode not in ("aggregation", "consensus"):
+        raise InputError(f"unknown mode {mode!r}")
+    consensus = mode == "consensus"
+    cascade = net.cascade
+    if consensus:
+        sigma_hat = bounds.consensus_test_channel_variances(net, d)
+        nodes = sinks = net.node_ids
+        links = edges = directed_edges(net)
+    else:
+        sigma_hat = bounds.test_channel_variances(net, d)
+        nodes = links = net.sources
+        sinks = (net.root,)
+        edges = [DirectedEdge(i, net.parents[i]) for i in links]
+    d = {link: float(d[link]) for link in links}
+    laws = {link: test_channel_law(sigma_hat[link], d[link]) for link in links}
+    if consensus:
+        downstream, sink_ref = cascade.consensus_sums(d)
+    else:
+        downstream = cascade.upstream_sums(d)
+        sink_ref = {net.root: fsum(d.values())}
+    into: dict[int, list] = {k: [] for k in net.node_ids}  # (src, link), ascending by src
+    for link, edge in zip(links, edges):
+        into[edge.dst].append((edge.src, link))
 
-
-def _analytic_aggregation(net: TreeNetwork, d: Mapping[int, float]) -> AnalyticModel:
-    sigma_hat = bounds.test_channel_variances(net, d)
-    d = {i: float(d[i]) for i in net.sources}
-    laws = {i: test_channel_law(sigma_hat[i], d[i]) for i in net.sources}
-    downstream = net.cascade.upstream_sums(d)
-
-    sources = net.sources
-    x_index = {i: k for k, i in enumerate(sources)}
-    w_index = {i: len(sources) + k for k, i in enumerate(sources)}
+    # Primitives: one unit-variance source per observing node, then one
+    # test-channel noise per link.
     system = _LinearGaussian(
-        [1.0] * len(sources) + [laws[i].conditional_variance for i in sources]
+        [1.0] * len(nodes) + [laws[link].conditional_variance for link in links]
     )
-    for i in sources:
-        system.rows[("x", i)] = system.basis(x_index[i])
-    _cascade_rows(net, system, laws, w_index, consensus=False)
+    for k, i in enumerate(nodes):
+        system.rows[("x", i)] = system.basis(k)
+    w_index = {link: len(nodes) + k for k, link in enumerate(links)}
+
+    def describe(link, src: int, fed: list) -> np.ndarray:
+        # A link's estimate U is its source's weighted data plus the
+        # descriptions fed in; its description is V = gain * U + noise.
+        row = _sum_into(net.weights[src] * system.rows[("x", src)], fed)
+        system.rows[("U", link)] = row
+        system.rows[("V", link)] = laws[link].gain * row + system.basis(w_index[link])
+        return system.rows[("V", link)]
+
+    cascade.fold(describe, consensus)
 
     def partial_sum_row(members) -> np.ndarray:
         row = np.zeros(system.prim_var.size)
         for j in sorted(members):
-            if j != net.root:
-                row += net.weight(j) * system.rows[("x", j)]
+            if ("x", j) in system.rows:  # an aggregation sink observes nothing
+                row += net.weights[j] * system.rows[("x", j)]
         return row
 
-    def info_at(node: int) -> list:
-        keys: list = [("V", c) for c in net.children_of(node)]
-        if node != net.root:
+    def info_at(node: int, excluding: int | None = None) -> list:
+        # The descriptions into ``node`` (except the one from ``excluding``),
+        # then the node's own data when it observes.
+        keys: list = [("V", link) for src, link in into[node] if src != excluding]
+        if ("x", node) in system.rows:
             keys.append(("x", node))
         return keys
 
-    inc: dict[int, float] = {}
-    tx: dict[int, float] = {}
-    rx: dict[int, float] = {}
-    receiver_gains: dict[int, np.ndarray] = {}
-    receiver_info: dict[int, tuple] = {}
+    inc, tx, rx, receiver_gains, receiver_info = {}, {}, {}, {}, {}
     error_rows = []
-    for i in sources:
-        target = partial_sum_row(net.cascade.subtree(i))
-        _, est_tx, tx[i] = system.condition(target, info_at(i))
-        parent_info = info_at(net.parents[i])
-        gain, est_rx, rx[i] = system.condition(target, parent_info)
-        receiver_gains[i] = gain
-        receiver_info[i] = tuple(parent_info)
+    for link, edge in zip(links, edges):
+        target = partial_sum_row(cascade.members(edge))
+        _, est_tx, tx[link] = system.condition(target, info_at(edge.src, excluding=edge.dst))
+        dst_info = info_at(edge.dst)
+        gain, est_rx, rx[link] = system.condition(target, dst_info)
+        receiver_gains[link] = gain
+        receiver_info[link] = tuple(dst_info)
         diff = est_rx - est_tx
-        inc[i] = system.variance(diff)
+        inc[link] = system.variance(diff)
         error_rows.append(diff)
 
-        _relative_check(f"link {i}: incremental distortion", inc[i], d[i], d[i])
-        _relative_check(f"link {i}: transmit distortion", tx[i], downstream[i], rx[i])
-        _relative_check(f"link {i}: receive distortion", rx[i], tx[i] + inc[i], rx[i])
+        name = f"{'edge' if consensus else 'link'} {link}"
+        _relative_check(f"{name}: incremental distortion", inc[link], d[link], d[link])
+        _relative_check(f"{name}: transmit distortion", tx[link], downstream[link], rx[link])
+        _relative_check(f"{name}: receive distortion", rx[link], tx[link] + inc[link], rx[link])
 
-    total_row = partial_sum_row(net.node_ids)
-    root_gain, root_estimate, total = system.condition(total_row, info_at(net.root))
-    description_sum = np.sum(
-        [system.rows[("V", c)] for c in net.children_of(net.root)], axis=0
-    )
-    # The sink's MMSE estimate must literally be the sum of the received
-    # descriptions, which is what the coding scheme outputs.
-    if system.variance(root_estimate - description_sum) > _IDENTITY_TOL:
-        raise ConsistencyError("sink estimate differs from the description sum")
-    expected_total = fsum(d[i] for i in sources)
-    _relative_check("total distortion", total, expected_total, expected_total)
-
-    error_stack = np.vstack(error_rows)
-    labels = (
-        [f"x{i}" for i in sources]
-        + [f"V{i}" for i in sources]
-        + [f"U{i}" for i in sources]
-    )
-    keys = [("x", i) for i in sources] + [("V", i) for i in sources] + [
-        ("U", i) for i in sources
-    ]
-    joint = system.covariance_matrix(keys)
-    _check_psd(joint)
-    return AnalyticModel(
-        mode="aggregation",
-        labels=tuple(labels),
-        joint_covariance=joint,
-        inc=inc,
-        tx=tx,
-        rx=rx,
-        total=total,
-        link_order=tuple(sources),
-        incremental_error_cov=error_stack @ (system.prim_var[:, None] * error_stack.T),
-        receiver_gains=receiver_gains,
-        receiver_info=receiver_info,
-    )
-
-
-def _analytic_consensus(net: TreeNetwork, d: Mapping) -> AnalyticModel:
-    sigma_hat = bounds.consensus_test_channel_variances(net, d)
-    edges = directed_edges(net)
-    d = {e: float(d[e]) for e in edges}
-    laws = {e: test_channel_law(sigma_hat[e], d[e]) for e in edges}
-    downstream, per_root_ref = net.cascade.consensus_sums(d)
-
-    nodes = net.node_ids
-    x_index = {i: k for k, i in enumerate(nodes)}
-    w_index = {e: len(nodes) + k for k, e in enumerate(edges)}
-    system = _LinearGaussian(
-        [1.0] * len(nodes) + [laws[e].conditional_variance for e in edges]
-    )
-    for i in nodes:
-        system.rows[("x", i)] = system.basis(x_index[i])
-    _cascade_rows(net, system, laws, w_index, consensus=True)
-
-    def partial_sum_row(members) -> np.ndarray:
-        row = np.zeros(system.prim_var.size)
-        for j in sorted(members):
-            row += net.weight(j) * system.rows[("x", j)]
-        return row
-
-    def info_at(node: int, excluding: int | None) -> list:
-        keys: list = [
-            ("V", DirectedEdge(k, node))
-            for k in net.neighbors[node]
-            if k != excluding
-        ]
-        keys.append(("x", node))
-        return keys
-
-    inc: dict[DirectedEdge, float] = {}
-    tx: dict[DirectedEdge, float] = {}
-    rx: dict[DirectedEdge, float] = {}
-    receiver_gains: dict[DirectedEdge, np.ndarray] = {}
-    receiver_info: dict[DirectedEdge, tuple] = {}
-    error_rows = []
-    for e in edges:
-        target = partial_sum_row(net.cascade.members(e))
-        _, est_tx, tx[e] = system.condition(target, info_at(e.src, e.dst))
-        dst_info = info_at(e.dst, None)
-        gain, est_rx, rx[e] = system.condition(target, dst_info)
-        receiver_gains[e] = gain
-        receiver_info[e] = tuple(dst_info)
-        diff = est_rx - est_tx
-        inc[e] = system.variance(diff)
-        error_rows.append(diff)
-
-        _relative_check(f"edge {e}: incremental distortion", inc[e], d[e], d[e])
-        _relative_check(f"edge {e}: transmit distortion", tx[e], downstream[e], rx[e])
-        _relative_check(f"edge {e}: receive distortion", rx[e], tx[e] + inc[e], rx[e])
-
-    full_row = partial_sum_row(nodes)
+    full_row = partial_sum_row(net.node_ids)
     per_root: dict[int, float] = {}
-    for k in nodes:
-        _, est, per_root[k] = system.condition(full_row, info_at(k, None))
-        node_output = net.weight(k) * system.rows[("x", k)]
-        for j in net.neighbors[k]:
-            node_output = node_output + system.rows[("V", DirectedEdge(j, k))]
-        if system.variance(est - node_output) > _IDENTITY_TOL:
-            raise ConsistencyError(
-                f"node {k}: MMSE estimate differs from the description sum"
-            )
-        expected = per_root_ref[k]
-        _relative_check(f"node {k}: consensus distortion", per_root[k], expected, expected)
+    for k in sinks:
+        _, est, per_root[k] = system.condition(full_row, info_at(k))
+        # The MMSE estimate must literally be what the coding scheme
+        # outputs: the received descriptions plus the sink's own data.
+        own = net.weights[k] * system.rows[("x", k)] if ("x", k) in system.rows else 0
+        output = _sum_into(own, [system.rows[("V", link)] for _, link in into[k]])
+        if system.variance(est - output) > _IDENTITY_TOL:
+            where = f"node {k}: MMSE" if consensus else "sink"
+            raise ConsistencyError(f"{where} estimate differs from the description sum")
+        name = f"node {k}: consensus distortion" if consensus else "total distortion"
+        _relative_check(name, per_root[k], sink_ref[k], sink_ref[k])
 
     error_stack = np.vstack(error_rows)
-    labels = (
-        [f"x{i}" for i in nodes]
-        + [f"V{e}" for e in edges]
-        + [f"U{e}" for e in edges]
-    )
-    keys = [("x", i) for i in nodes] + [("V", e) for e in edges] + [
-        ("U", e) for e in edges
-    ]
+    keys = [("x", i) for i in nodes] + [(kind, link) for kind in "VU" for link in links]
     joint = system.covariance_matrix(keys)
     _check_psd(joint)
     return AnalyticModel(
-        mode="consensus",
-        labels=tuple(labels),
+        mode=mode,
+        labels=tuple(f"{kind}{key}" for kind, key in keys),
         joint_covariance=joint,
         inc=inc,
         tx=tx,
         rx=rx,
-        total=fsum(per_root[k] for k in nodes),
-        per_root=per_root,
-        link_order=edges,
+        total=fsum(per_root[k] for k in nodes) if consensus else per_root[net.root],
+        per_root=per_root if consensus else None,
+        link_order=tuple(links),
         incremental_error_cov=error_stack @ (system.prim_var[:, None] * error_stack.T),
         receiver_gains=receiver_gains,
         receiver_info=receiver_info,

@@ -38,7 +38,7 @@ def random_feasible_d(
 ) -> dict[int, float]:
     """Per-link distortions that are feasible by construction: each node
     describes a random fraction of its own test-channel variance."""
-    return _random_fractions(rng, net, fractions, consensus=False)
+    return _fractions(lambda: float(rng.uniform(*fractions)), net, consensus=False)
 
 
 def random_feasible_consensus_d(
@@ -46,15 +46,22 @@ def random_feasible_consensus_d(
     net: TreeNetwork,
     fractions: tuple[float, float] = (0.05, 0.7),
 ) -> dict:
-    return _random_fractions(rng, net, fractions, consensus=True)
+    return _fractions(lambda: float(rng.uniform(*fractions)), net, consensus=True)
 
 
-def _random_fractions(rng, net: TreeNetwork, fractions, consensus: bool) -> dict:
+def fixed_fraction_d(net: TreeNetwork, fraction: float, consensus: bool = False) -> dict:
+    """Per-link distortions where every link describes the same ``fraction``
+    of its own test-channel variance: feasible, and never tiny next to the
+    variance a link carries."""
+    return _fractions(lambda: fraction, net, consensus)
+
+
+def _fractions(draw, net: TreeNetwork, consensus: bool) -> dict:
     d: dict = {}
 
     def describe(link, src: int, fed: list) -> float:
         var = net.weight(src) ** 2 + sum(fed)
-        d[link] = float(rng.uniform(*fractions)) * var
+        d[link] = draw() * var
         return var - d[link]
 
     net.cascade.fold(describe, consensus)

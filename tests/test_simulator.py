@@ -23,10 +23,13 @@ from gausstree.simulator import (
 )
 
 from helpers import (
+    bfs_side,
     equal_split,
+    fixed_fraction_d,
     random_feasible_consensus_d,
     random_feasible_d,
     random_tree,
+    shaped_tree,
     uniform_edge_d,
 )
 
@@ -114,6 +117,28 @@ class TestAnalyticAggregation:
         assert model.labels == ("x1", "x2", "V1", "V2", "U1", "U2")
         assert model.joint_covariance.shape == (6, 6)
 
+    def test_root_weight_is_ignored(self):
+        rng = np.random.default_rng(43)
+        weighted = shaped_tree(rng, "random", 12, mode="consensus")
+        sink = TreeNetwork(
+            root=weighted.root,
+            parents=weighted.parents,
+            weights={i: w for i, w in weighted.weights.items() if i != weighted.root},
+        )
+        d = random_feasible_d(rng, sink)
+        got, want = analytic_mmse_check(weighted, d), analytic_mmse_check(sink, d)
+        for name in ("labels", "link_order", "per_root", "receiver_info"):
+            assert getattr(got, name) == getattr(want, name)
+        assert got.total.hex() == want.total.hex()
+        for name in ("joint_covariance", "incremental_error_cov"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for name in ("inc", "tx", "rx"):
+            assert [v.hex() for v in getattr(got, name).values()] == [
+                v.hex() for v in getattr(want, name).values()
+            ]
+        for i in sink.sources:
+            assert got.receiver_gains[i].tobytes() == want.receiver_gains[i].tobytes()
+
 
 class TestAnalyticConsensus:
     def test_two_node_line(self):
@@ -138,6 +163,50 @@ class TestAnalyticConsensus:
         net = make_line(1, [1.0])
         with pytest.raises(InputError, match="mode"):
             analytic_mmse_check(net, {1: 0.1}, mode="ring")
+
+    def test_unweighted_sink_is_rejected(self):
+        net = make_line(3, [1.0, 1.0, 1.0])
+        with pytest.raises(InputError, match="weight on every node"):
+            analytic_mmse_check(net, uniform_edge_d(net, 0.01), mode="consensus")
+
+
+class TestAnalyticIdentities:
+    """Accumulation identities in both modes against references enumerated
+    by BFS, on trees of up to 60 nodes.  Every link describes a fixed
+    fraction of its test-channel variance, so no distortion is tiny next
+    to the variance its link carries and the 1e-10 checks stay meaningful."""
+
+    @pytest.mark.parametrize("mode", ["aggregation", "consensus"])
+    @pytest.mark.parametrize("shape", ["line", "star", "random"])
+    @pytest.mark.parametrize("n_nodes", [2, 3, 8, 21, 60])
+    def test_accumulation_identities(self, n_nodes, shape, mode):
+        consensus = mode == "consensus"
+        net = shaped_tree(np.random.default_rng(n_nodes), shape, n_nodes, mode)
+        d = fixed_fraction_d(net, 0.3, consensus)
+        model = analytic_mmse_check(net, d, mode)
+        sinks = net.node_ids if consensus else (net.root,)
+        trees = {k: directed_tree(net, k) for k in sinks}
+        key = (lambda e: e) if consensus else (lambda e: e.src)
+        position = {link: k for k, link in enumerate(model.link_order)}
+        edges = directed_edges(net) if consensus else trees[net.root]
+        for e in edges:
+            link, side = key(e), bfs_side(net, e.src, e.dst)
+            tree = trees[e.dst if consensus else net.root]
+            upstream = math.fsum(d[key(f)] for f in tree if f != e and f.src in side)
+            rx = model.rx[link]
+            assert abs(model.inc[link] - d[link]) <= 1e-10 * d[link]
+            assert abs(model.tx[link] - upstream) <= 1e-10 * rx
+            assert abs(rx - model.tx[link] - model.inc[link]) <= 1e-10 * rx
+        for k, tree in trees.items():
+            got = model.per_root[k] if consensus else model.total
+            assert got == pytest.approx(math.fsum(d[key(f)] for f in tree), rel=1e-10)
+            # The incremental errors along one directed tree are uncorrelated.
+            idx = [position[key(f)] for f in tree]
+            cov = model.incremental_error_cov[np.ix_(idx, idx)]
+            off_diagonal = np.abs(cov - np.diag(np.diag(cov)))
+            assert np.max(off_diagonal) <= 1e-10 * np.max(np.diag(cov))
+        if consensus:
+            assert model.total == math.fsum(model.per_root.values())
 
 
 def quiet_cfg(blocklength=2000, trials=40, seed=123, **kw):
