@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds
 from .bounds import ConsensusProfile, DistortionProfile
 from .errors import ConsistencyError, InfeasibleError, InputError
-from .network import DirectedEdge, TreeNetwork, directed_edges, edge_multiplicity
+from .network import DirectedEdge, TreeNetwork, directed_edges
 
 __all__ = [
     "RateAllocation",
@@ -197,7 +197,7 @@ def allocate_numeric_penalized(
 def _consensus_setup(net: TreeNetwork, total_distortion: float):
     total_distortion = _check_budget(total_distortion)
     edges = directed_edges(net)
-    mult = np.array([edge_multiplicity(net, e) for e in edges], dtype=float)
+    mult = np.array([net.cascade.multiplicity(e) for e in edges], dtype=float)
     return total_distortion, edges, mult
 
 

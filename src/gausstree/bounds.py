@@ -158,6 +158,11 @@ def consensus_derive(
     )
 
 
+def _require_links(net: TreeNetwork) -> None:
+    if not net.sources:
+        raise InputError("aggregation needs at least one node besides the root")
+
+
 def _require_consensus(net: TreeNetwork) -> None:
     if not net.fully_weighted:
         raise InputError(
@@ -536,6 +541,7 @@ def full_report(
             raise InfeasibleError(
                 f"total distortion must be positive, got {total_distortion!r}"
             )
+        _require_links(net)
         n = len(net.sources)
         inc = {i: total_distortion / n for i in net.sources}
     # The one validation of the map (an equal split's D/n can underflow to 0).
@@ -571,12 +577,16 @@ def consensus_report(
     net: TreeNetwork, inc: Mapping[tuple[int, int], float], total_distortion: float
 ) -> BoundsReport:
     """Consensus :class:`BoundsReport` for an explicit per-edge profile."""
-    profile = consensus_derive(net, inc)
+    return _consensus_report(net, consensus_derive(net, inc), total_distortion)
+
+
+def _consensus_report(net: TreeNetwork, profile: ConsensusProfile, total: float) -> BoundsReport:
+    # consensus_report on a profile made by consensus_derive.
     outer = _outer_bound(net, profile, consensus=True)
     inner = _inner_bound(net, profile.inc, True, profile.per_root)
     return BoundsReport(
         mode="consensus",
-        total_distortion=total_distortion,
+        total_distortion=total,
         outer_incremental_bits=outer.total_bits,
         cutset_bits=None,
         outer_closed_form_bits=None,
@@ -585,8 +595,6 @@ def consensus_report(
         gap_inner_outer_bits=inner.rate_bits - outer.total_bits,
         gap_incremental_cutset_bits=None,
         per_link_rates_bits=inner.per_link_rate_bits,
-        classical_comparator_bits=classical_consensus_comparator_bits(
-            net.n_nodes, total_distortion
-        ),
+        classical_comparator_bits=classical_consensus_comparator_bits(net.n_nodes, total),
         regime_warnings=_regime_warnings(net, profile.inc, net.oriented_variances),
     )

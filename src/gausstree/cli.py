@@ -220,9 +220,11 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_consensus_bounds(args) -> int:
     net = _load_tree(args.tree)
-    inc = _require_distortion(args, net, consensus=True)
-    profile = bounds.consensus_derive(net, inc)
-    report = bounds.consensus_report(net, profile.inc, profile.total)
+    if args.d_per_link or args.D is None:
+        profile = bounds.consensus_derive(net, _require_distortion(args, net, consensus=True))
+    else:
+        profile = allocation.allocate_consensus(net, args.D).profile
+    report = bounds._consensus_report(net, profile, profile.total)
     _emit(args, report.to_json_dict(), report.to_csv_rows())
     return 0
 
@@ -232,6 +234,7 @@ def _cmd_allocate(args) -> int:
     if args.D is None:
         raise InputError("--D is required")
     if args.method == "penalized":
+        bounds._require_links(net)
         result = allocation.allocate_numeric_penalized(net, args.D, tol=args.tol)
     else:
         result = allocation.allocate_equal_incremental(net, args.D)

@@ -14,14 +14,16 @@ All derived quantities (subtree member sets, subtree variances, directed
 trees, oriented subtrees, edge multiplicities) are computed here so that
 the bound/allocation modules stay purely arithmetic.
 
-The structure every recursion needs is built once per network as a
-:class:`LinkCascade`.  One leaves-first pass gives every node's subtree
-size and its position in that order, so every subtree is a contiguous
-slice.  The ``2(n-1)`` directed links follow from it: oriented subtree
-sizes ``size(c -> p) = |subtree(c)|`` and ``size(p -> c) = n - size(c -> p)``,
-the multiplicities ``n - size``, an evaluation order, and every oriented
-member set as one slice or the complement of one.  The link ``b -> a``
-is fed by the links ``k -> b`` from the other neighbours ``k`` of ``b``.
+The :class:`TreeNetwork` constructor builds the structure every
+recursion needs, one :class:`LinkCascade` with no reference back to the
+network.  One leaves-first DFS gives every node's subtree size and its
+position in that order, so every subtree is a contiguous slice; a node it
+misses lies on or under a cycle.  The ``2(n-1)`` directed links follow:
+oriented subtree sizes ``size(c -> p) = |subtree(c)|`` and ``size(p -> c)
+= n - size(c -> p)``, the multiplicities ``n - size``, an evaluation
+order, and every oriented member set as one slice or the complement of
+one.  The link ``b -> a`` is fed by the links ``k -> b`` from the other
+neighbours ``k`` of ``b``.
 
 Every per-link recursion of the package -- subtree and oriented
 variances, test-channel variances, quantizer designs, the oracle's
@@ -63,7 +65,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -145,6 +146,8 @@ def _check_weight(node: int, value: object) -> float:
         raise TreeError(f"node {node}: weight must be finite, got {w!r}")
     if w == 0.0:
         raise TreeError(f"node {node}: weight must be nonzero")
+    if not 0.0 < w * w < math.inf:
+        raise TreeError(f"node {node}: weight {w!r} has no positive finite square")
     return w
 
 
@@ -162,29 +165,49 @@ def _fixed_point(values: Sequence[float]) -> tuple[list[int], int]:
 class LinkCascade:
     """The links of a tree laid out for O(n) folds (see the module docstring).
 
-    ``postorder`` lists the nodes children-first with the stored root
-    last, so node ``i``'s subtree is the ``subtree_size[i]`` entries
-    ending at ``position[i]``; ``parent`` is -1 at the root.  ``size``
+    Indexed by node id: ``parent`` (-1 at the root) and the ascending
+    ``children`` and ``neighbors``.  ``postorder`` lists the nodes
+    children-first with the root last, so node ``i``'s subtree is the
+    ``subtree_size[i]`` entries ending at ``position[i]``.  ``size``
     counts the nodes on the ``src`` side of every directed link,
     ``order`` lists the links by ``(size, link)``, which puts every link
     after the links that feed it, and ``edges`` by ``(src, dst)``.
     """
 
-    def __init__(self, net: "TreeNetwork") -> None:
-        # Weak: the network caches its cascade, and a strong reference back
-        # would keep both alive until the cycle collector runs.
-        self._net = weakref.proxy(net)
-        n = net.n_nodes
-        parent = [-1] * n
-        for child, par in net.parents.items():
-            parent[child] = par
+    def __init__(self, root: int, parents: Mapping[int, int]) -> None:
+        n = len(parents) + 1
+        parent = [parents.get(i, -1) for i in range(n)]
+        children: list[list[int]] = [[] for _ in range(n)]
+        neighbors: list[list[int]] = [[] for _ in range(n)]
+        for i in range(n):  # ascending ids fill every list in ascending order
+            if i != root:
+                children[parent[i]].append(i)
+        for i in range(n):
+            for k in children[i] if i == root else (parent[i], *children[i]):
+                neighbors[k].append(i)
+        # Reversed, this largest-child-first preorder is the ascending postorder.
+        order: list[int] = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(children[node])
+        order.reverse()
+        if len(order) < n:  # the parent chain of the smallest node missed hits a cycle
+            node, seen = min(set(range(n)).difference(order)), set()
+            while node not in seen:
+                seen.add(node)
+                node = parent[node]
+            raise TreeError(f"cycle detected through node {node}")
         position = [n - 1] * n
         subtree_size = [1] * n
-        for k, node in enumerate(net.leaves_first[:-1]):
+        for k, node in enumerate(order[:-1]):
             position[node] = k
             subtree_size[parent[node]] += subtree_size[node]
-        self.postorder = net.leaves_first
         self.parent = tuple(parent)
+        self.children = tuple(map(tuple, children))
+        self.neighbors = tuple(map(tuple, neighbors))
+        self.postorder = tuple(order)
         self.position = tuple(position)
         self.subtree_size = tuple(subtree_size)
 
@@ -230,12 +253,12 @@ class LinkCascade:
         by link in visiting order."""
         out: dict = {}
         if consensus:
-            neighbors = self._net.neighbors
+            neighbors = self.neighbors
             for link in self.order:
                 src, dst = link
                 out[link] = step(link, src, [out[k, src] for k in neighbors[src] if k != dst])
         else:
-            children = self._net.children
+            children = self.children
             for i in self.postorder[:-1]:
                 out[i] = step(i, i, [out[c] for c in children[i]])
         return out
@@ -302,8 +325,10 @@ class TreeNetwork:
     weights : mapping int -> float
         Weight of every node that observes data.  Must cover all non-root
         nodes; the root entry is optional (absent = aggregation sink).
+        Every square and their sum must be positive and finite.
 
-    Node ids must be dense integers ``0 .. n_nodes-1``.  Instances are
+    Node ids must be dense integers ``0 .. n_nodes-1``.  The constructor
+    builds ``cascade``, the network's :class:`LinkCascade`.  Instances are
     immutable after construction and safe to share across threads.
     """
 
@@ -337,29 +362,20 @@ class TreeNetwork:
                 f"node ids must be dense 0..{n - 1}; missing {missing}, unexpected {extra}"
             )
         for child, parent in parents.items():
-            if parent not in nodes:
+            if parent >= n:
                 raise TreeError(f"node {child}: parent {parent} is not a node")
+        object.__setattr__(self, "cascade", LinkCascade(root, parents))
 
-        # Every node must reach the root without revisiting anything.
-        state: dict[int, int] = {root: 2}  # 1 = on current path, 2 = resolved
-        for start in sorted(parents):
-            path = []
-            node = start
-            while state.get(node, 0) == 0:
-                state[node] = 1
-                path.append(node)
-                node = parents[node]
-            if state[node] == 1:
-                raise TreeError(f"cycle detected through node {node}")
-            for visited in path:
-                state[visited] = 2
-
-        for node in sorted(nodes):
+        for node in range(n):
             if node != root and node not in weights:
                 raise TreeError(f"node {node}: missing weight")
         for node in weights:
-            if node not in nodes:
+            if node >= n:
                 raise TreeError(f"weight given for unknown node {node}")
+        try:
+            fsum(w * w for w in weights.values())
+        except OverflowError:
+            raise TreeError("the sum of squared weights (the total variance) overflows") from None
 
     # -- basic structure ------------------------------------------------
 
@@ -376,24 +392,19 @@ class TreeNetwork:
         """Non-root nodes in ascending order; one per tree link."""
         return tuple(i for i in self.node_ids if i != self.root)
 
-    @cached_property
-    def children(self) -> dict[int, tuple[int, ...]]:
-        table: dict[int, list[int]] = {i: [] for i in self.node_ids}
-        for child in sorted(self.parents):
-            table[self.parents[child]].append(child)
-        return {i: tuple(kids) for i, kids in table.items()}
+    @property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Every node's children, ascending, indexed by node id."""
+        return self.cascade.children
 
     def children_of(self, i: int) -> tuple[int, ...]:
         self._require_node(i)
         return self.children[i]
 
-    @cached_property
-    def neighbors(self) -> dict[int, tuple[int, ...]]:
-        table: dict[int, set[int]] = {i: set() for i in self.node_ids}
-        for child, parent in self.parents.items():
-            table[child].add(parent)
-            table[parent].add(child)
-        return {i: tuple(sorted(adj)) for i, adj in table.items()}
+    @property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Every node's neighbours, ascending, indexed by node id."""
+        return self.cascade.neighbors
 
     @cached_property
     def fully_weighted(self) -> bool:
@@ -409,28 +420,12 @@ class TreeNetwork:
         if node >= self.n_nodes:
             raise TreeError(f"unknown node id {node}")
 
-    @cached_property
+    @property
     def leaves_first(self) -> tuple[int, ...]:
         """Node order with every child before its parent (root last)."""
-        order: list[int] = []
-        seen = [False] * self.n_nodes
-        stack = [self.root]
-        while stack:
-            node = stack[-1]
-            if not seen[node]:
-                seen[node] = True
-                stack.extend(reversed(self.children[node]))
-            else:
-                stack.pop()
-                order.append(node)
-        return tuple(order)
+        return self.cascade.postorder
 
     # -- subtrees and variances ------------------------------------------
-
-    @cached_property
-    def cascade(self) -> LinkCascade:
-        """The directed links laid out for O(n) folds (built once)."""
-        return LinkCascade(self)
 
     def subtree_members(self, i: int) -> frozenset[int]:
         self._require_node(i)
@@ -454,9 +449,11 @@ class TreeNetwork:
         except (TypeError, ValueError):
             raise TreeError(f"expected a (src, dst) pair, got {edge!r}") from None
         e = DirectedEdge(_check_node_id(src, "edge source"), _check_node_id(dst, "edge target"))
-        self._require_node(e.src)
-        self._require_node(e.dst)
-        if e not in self.cascade.size:
+        for node in e:
+            if node >= self.n_nodes:
+                raise TreeError(f"unknown node id {node}")
+        parent = self.cascade.parent
+        if parent[e.src] != e.dst and parent[e.dst] != e.src:
             raise TreeError(f"nodes {e.src} and {e.dst} are not adjacent")
         return e
 
@@ -470,12 +467,8 @@ class TreeNetwork:
 
     @property
     def directed_edge_order(self) -> tuple[DirectedEdge, ...]:
-        """All 2(n-1) directed edges, every edge after its feeding edges.
-
-        Edge ``b -> a`` depends on ``k -> b`` for the other neighbours
-        ``k`` of ``b``, whose oriented subtrees are strictly smaller, so
-        ordering by oriented-subtree size gives a valid evaluation order.
-        """
+        """All 2(n-1) directed edges, every edge after its feeding edges
+        (:attr:`LinkCascade.order`)."""
         return self.cascade.order
 
     # -- serialization ----------------------------------------------------
@@ -532,7 +525,7 @@ def parse_tree(text: str) -> TreeNetwork:
             raise TreeError(f"node {node}: duplicate id")
         if "weight" not in entry:
             raise TreeError(f"node {node}: missing weight")
-        weights[node] = _check_weight(node, entry["weight"])
+        weights[node] = entry["weight"]
         parent = entry.get("parent")
         if node == root:
             if parent is not None:
@@ -540,7 +533,7 @@ def parse_tree(text: str) -> TreeNetwork:
         else:
             if parent is None:
                 raise TreeError(f"node {node}: missing parent")
-            parents[node] = _check_node_id(parent, f"parent of node {node}")
+            parents[node] = parent
     return TreeNetwork(root=root, parents=parents, weights=weights)
 
 
@@ -555,8 +548,7 @@ def make_line(n: int, weights: Sequence[float]) -> TreeNetwork:
     if len(weights) != n:
         raise TreeError(f"expected {n} weights, got {len(weights)}")
     parents = {i: i - 1 for i in range(1, n + 1)}
-    wmap = {i + 1: _check_weight(i + 1, w) for i, w in enumerate(weights)}
-    return TreeNetwork(root=0, parents=parents, weights=wmap)
+    return TreeNetwork(root=0, parents=parents, weights=dict(enumerate(weights, start=1)))
 
 
 def make_consensus_line(weights: Sequence[float]) -> TreeNetwork:
@@ -564,13 +556,11 @@ def make_consensus_line(weights: Sequence[float]) -> TreeNetwork:
     if len(weights) < 1:
         raise TreeError("a consensus line needs at least one node")
     parents = {i: i - 1 for i in range(1, len(weights))}
-    wmap = {i: _check_weight(i, w) for i, w in enumerate(weights)}
-    return TreeNetwork(root=0, parents=parents, weights=wmap)
+    return TreeNetwork(root=0, parents=parents, weights=dict(enumerate(weights)))
 
 
 def subtree_stats(net: TreeNetwork, i: int) -> SubtreeStats:
     """Members and partial-sum variance of node ``i`` plus its descendants."""
-    net._require_node(i)
     return SubtreeStats(net.subtree_members(i), net.subtree_variances[i])
 
 
@@ -603,7 +593,7 @@ def oriented_subtree_stats(net: TreeNetwork, edge: tuple[int, int]) -> SubtreeSt
     and enforce that separately.
     """
     e = net._require_adjacent(edge)
-    return SubtreeStats(net.oriented_members(e), net.oriented_variances[e])
+    return SubtreeStats(frozenset(net.cascade.members(e)), net.oriented_variances[e])
 
 
 def edge_multiplicity(net: TreeNetwork, edge: tuple[int, int]) -> int:
@@ -623,10 +613,7 @@ def normalize_edge_map(
     net: TreeNetwork, values: Mapping[tuple[int, int], float], what: str
 ) -> dict[DirectedEdge, float]:
     """Validate a per-directed-edge map: full coverage, positive entries."""
-    table: dict[DirectedEdge, float] = {}
-    for key, value in values.items():
-        e = net._require_adjacent(key)
-        table[e] = float(value)
+    table = {net._require_adjacent(key): float(value) for key, value in values.items()}
     missing = [e for e in directed_edges(net) if e not in table]
     if missing:
         raise InputError(f"{what}: missing entries for edges {[str(e) for e in missing]}")

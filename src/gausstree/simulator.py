@@ -218,6 +218,7 @@ def analytic_mmse_check(
         nodes = sinks = net.node_ids
         links = edges = directed_edges(net)
     else:
+        bounds._require_links(net)
         sigma_hat = bounds.test_channel_variances(net, d)
         nodes = links = net.sources
         sinks = (net.root,)

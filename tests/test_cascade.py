@@ -1,7 +1,9 @@
 """The link cascade against brute-force enumeration, on trees of up to
 300 nodes and values spread over many binades."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from gausstree import bounds, network
 from gausstree.network import (
+    TreeError,
     TreeNetwork,
     directed_edges,
     directed_tree,
@@ -127,3 +130,66 @@ def test_fold_visits_each_link_once_after_its_feeding_links(shape, n, seed, cons
     out = net.cascade.fold(step, consensus)
     assert tuple(seen) == (net.directed_edge_order if consensus else net.leaves_first[:-1])
     assert list(out.items()) == [(link, link) for link in seen]
+
+
+def test_cascade_outlives_its_network():
+    cascade = make_line(3, [1.0, 1.0, 1.0]).cascade  # the network is gone at once
+    up = cascade.fold(lambda link, src, fed: 1 + sum(fed))
+    assert up == {3: 1, 2: 2, 1: 3}
+    down = cascade.fold(lambda link, src, fed: 1 + sum(fed), consensus=True)
+    assert down == {(3, 2): 1, (0, 1): 1, (2, 1): 2, (1, 2): 2, (1, 0): 3, (2, 3): 3}
+
+
+@pytest.mark.parametrize("mode", ["aggregation", "consensus"])
+def test_folded_network_needs_no_cycle_collector(mode):
+    gc.disable()
+    try:
+        net = shaped_tree(np.random.default_rng(5), "random", 40, mode)
+        net.subtree_variances, net.oriented_variances, net.directed_edge_order
+        alive = weakref.ref(net)
+        del net
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def reference_structure(root: int, parents: dict, n: int):
+    """What a tree's structure must read, computed the slow way: the cycle
+    message of a chain walk from every node in ascending order, else the
+    children and neighbours by sorting and a recursive postorder."""
+    resolved = {root}
+    for start in sorted(parents):
+        path, node = [], start
+        while node not in resolved and node not in path:
+            path.append(node)
+            node = parents[node]
+        if node in path:
+            return f"cycle detected through node {node}"
+        resolved.update(path)
+    children = [sorted(c for c, p in parents.items() if p == i) for i in range(n)]
+    neighbors = [sorted(children[i] + ([parents[i]] if i != root else [])) for i in range(n)]
+    order: list[int] = []
+
+    def visit(node):
+        for c in children[node]:
+            visit(c)
+        order.append(node)
+
+    visit(root)
+    return tuple(order), [tuple(c) for c in children], [tuple(nb) for nb in neighbors]
+
+
+@given(data=st.data(), n=st.integers(2, 12))
+def test_structure_and_cycle_check_match_a_reference(data, n):
+    root = data.draw(st.integers(0, n - 1))
+    parents = {i: data.draw(st.integers(0, n - 1)) for i in range(n) if i != root}
+    expected = reference_structure(root, parents, n)
+    weights = {i: 1.0 for i in parents}
+    if isinstance(expected, str):
+        with pytest.raises(TreeError) as caught:
+            TreeNetwork(root=root, parents=parents, weights=weights)
+        assert str(caught.value) == expected
+    else:
+        net = TreeNetwork(root=root, parents=parents, weights=weights)
+        views = [net.children[i] for i in range(n)], [net.neighbors[i] for i in range(n)]
+        assert (net.leaves_first, *views) == expected

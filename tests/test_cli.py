@@ -2,11 +2,14 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from gausstree import cli
+from gausstree import allocation, bounds, cli
 from gausstree.errors import ConsistencyError
-from gausstree.network import make_consensus_line, make_line
+from gausstree.network import LinkCascade, directed_edges, make_consensus_line, make_line
+
+from helpers import random_tree
 
 
 @pytest.fixture
@@ -247,3 +250,133 @@ class TestValidate:
         )
         assert code == 0
         assert "saturation_rate" in json.loads(out)
+
+
+def node(i, weight=1.0, **extra):
+    return {"id": i, "weight": weight, **extra}
+
+
+LINE3 = [node(1, parent=0), node(2, parent=1)]
+CONSENSUS3 = [node(0), node(1, parent=0), node(2, parent=1)]
+
+
+@pytest.mark.parametrize(
+    "command, nodes, links, err",
+    [
+        ("bounds", [node(True, parent=0)], None, "node id must be an integer, got True"),
+        ("bounds", [node(1.0, parent=0)], None, "node id must be an integer, got 1.0"),
+        ("bounds", [node(-1, parent=0)], None, "node id must be non-negative, got -1"),
+        ("bounds", [node(1, parent=0), node(1, 2.0, parent=0)], None, "node 1: duplicate id"),
+        ("bounds", [node(5, parent=0)], None,
+         "node ids must be dense 0..1; missing [1], unexpected [5]"),
+        ("bounds", [node(1, parent=True)], None, "parent of node 1 must be an integer, got True"),
+        ("bounds", [node(1, parent=7)], None, "node 1: parent 7 is not a node"),
+        ("bounds", [node(1)], None, "node 1: missing parent"),
+        ("bounds", [node(0, parent=1), node(1, parent=0)], None,
+         "node 0: the root must not declare a parent"),
+        ("bounds", [node(1, parent=2), node(2, parent=1)], None, "cycle detected through node 1"),
+        ("bounds", [node(1, "1", parent=0)], None, "node 1: weight must be a number, got '1'"),
+        ("bounds", [node(1, False, parent=0)], None, "node 1: weight must be a number, got False"),
+        ("bounds", [node(1, 0, parent=0)], None, "node 1: weight must be nonzero"),
+        ("bounds", [{"id": 1, "parent": 0}], None, "node 1: missing weight"),
+        ("bounds", LINE3, {"1": 0.1, "2": 0.1, "7": 0.1}, "unknown node id 7"),
+        ("consensus-bounds", CONSENSUS3, {"0->7": 0.1}, "unknown node id 7"),
+        ("consensus-bounds", CONSENSUS3, {"0->2": 0.1}, "nodes 0 and 2 are not adjacent"),
+    ],
+    ids=[
+        "bool-id", "float-id", "negative-id", "duplicate-id", "sparse-ids", "bool-parent",
+        "unknown-parent", "missing-parent", "root-with-parent", "cycle", "string-weight",
+        "bool-weight", "zero-weight", "missing-weight", "unknown-link-node",
+        "unknown-edge-node", "non-adjacent-edge",
+    ],
+)
+def test_single_error_inputs_exit_2_with_one_message(capsys, tmp_path, command, nodes, links, err):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"root": 0, "nodes": nodes}))
+    budget = ["--D", "0.1"]
+    if links is not None:
+        path = tmp_path / "links.json"
+        path.write_text(json.dumps(links))
+        budget = ["--d-per-link", str(path)]
+    code, out, stderr = run_capture(capsys, [command, "--tree", str(tree), *budget])
+    assert (code, out, stderr) == (2, "", f"error: {err}\n")
+
+
+SINK_ONLY = {"root": 0, "nodes": []}
+WEIGHTED_ROOT_ALONE = {"root": 0, "nodes": [node(0)]}
+
+
+@pytest.mark.parametrize("doc", [SINK_ONLY, WEIGHTED_ROOT_ALONE])
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["bounds", "--D", "0.1"], ["allocate", "--D", "0.1", "--method", "penalized"]],
+)
+def test_tree_without_links_exits_2(capsys, tmp_path, doc, argv):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(doc))
+    code, out, err = run_capture(capsys, [argv[0], "--tree", str(tree), *argv[1:]])
+    assert (code, out) == (2, "")
+    assert err == "error: aggregation needs at least one node besides the root\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["allocate", "--D", "0.1"], ["simulate", "--D", "0.1", "--N", "100", "--trials", "10"]],
+)
+def test_tree_without_links_still_allocates_and_simulates(capsys, tmp_path, argv):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(SINK_ONLY))
+    code, out, _ = run_capture(capsys, [argv[0], "--tree", str(tree), *argv[1:]])
+    assert code == 0
+    assert json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "weights, err",
+    [
+        ([1e200, 1.0], "node 1: weight 1e+200 has no positive finite square"),
+        ([1.0, 1e-200], "node 2: weight 1e-200 has no positive finite square"),
+        ([1e154, 1e154], "the sum of squared weights (the total variance) overflows"),
+    ],
+    ids=["square-overflows", "square-underflows", "sum-overflows"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--D", "0.1"],
+        ["allocate", "--D", "0.1", "--method", "penalized"],
+        ["validate"],
+        ["simulate", "--D", "0.1", "--N", "100", "--trials", "10"],
+    ],
+)
+def test_weights_without_a_finite_positive_variance_exit_2(capsys, tmp_path, weights, err, argv):
+    tree = tmp_path / "tree.json"
+    nodes = [node(1, weights[0], parent=0), node(2, weights[1], parent=1)]
+    tree.write_text(json.dumps({"root": 0, "nodes": nodes}))
+    code, out, stderr = run_capture(capsys, [argv[0], "--tree", str(tree), *argv[1:]])
+    assert (code, out, stderr) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("budget", [["--D", "0.03"], ["--d-per-link"]])
+def test_consensus_bounds_folds_the_profile_it_holds(capsys, tmp_path, monkeypatch, budget):
+    net = random_tree(np.random.default_rng(11), 30, mode="consensus")
+    tree = tmp_path / "tree.json"
+    tree.write_text(net.to_json())
+    if budget == ["--d-per-link"]:
+        inc = {e: 1e-3 for e in directed_edges(net)}
+        path = tmp_path / "links.json"
+        path.write_text(json.dumps({str(e): v for e, v in inc.items()}))
+        budget, expected_calls = budget + [str(path)], 1
+    else:
+        inc, expected_calls = allocation.allocate_consensus(net, 0.03).profile.inc, 2
+    profile = bounds.consensus_derive(net, inc)
+    report = bounds.consensus_report(net, profile.inc, profile.total)
+    expected = cli._format_json(report.to_json_dict())
+
+    calls = []
+    fold = LinkCascade.consensus_sums
+    monkeypatch.setattr(
+        LinkCascade, "consensus_sums", lambda self, values: calls.append(1) or fold(self, values)
+    )
+    code, out, _ = run_capture(capsys, ["consensus-bounds", "--tree", str(tree), *budget])
+    assert (code, out, len(calls)) == (0, expected, expected_calls)

@@ -125,6 +125,14 @@ class TestConstructors:
         assert subtree_stats(net, 2).variance == 9.0
         assert subtree_stats(net, 1).variance == 13.0
 
+    def test_the_constructor_checks_what_the_builders_pass_on(self):
+        with pytest.raises(TreeError, match="^node 2: weight must be nonzero$"):
+            make_line(2, [1.0, 0.0])
+        with pytest.raises(TreeError, match="^node 0: weight must be finite, got inf$"):
+            make_consensus_line([float("inf"), 1.0])
+        with pytest.raises(TreeError, match="^weight given for unknown node 5$"):
+            TreeNetwork(root=0, parents={1: 0}, weights={1: 1.0, 5: 1.0})
+
     def test_bad_line_arguments(self):
         with pytest.raises(TreeError):
             make_line(0, [])
