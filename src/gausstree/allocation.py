@@ -133,6 +133,7 @@ def allocate_numeric_penalized(
     at the finest step size, or when the update cap is hit (the best
     iterate is then returned with a warning).
     """
+    bounds._require_links(net)
     total_distortion = _check_budget(total_distortion)
     if not (tol > 0.0 and math.isfinite(tol)):
         raise InputError(f"tolerance must be positive, got {tol!r}")

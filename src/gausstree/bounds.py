@@ -234,6 +234,7 @@ def outer_bound_closed_form(net: TreeNetwork, total_distortion: float) -> float:
     ``0.5 * log2(prod(s2_i) / (D/n)^n) - 0.5 * sum_i penalty_i(D)``."""
     if not (total_distortion > 0.0 and math.isfinite(total_distortion)):
         raise InfeasibleError(f"total distortion must be positive, got {total_distortion!r}")
+    _require_links(net)
     penalty = fsum(_link_penalty(net, i, total_distortion) for i in net.sources)
     return _equal_split_rate(net, total_distortion / len(net.sources)) - 0.5 * penalty
 
@@ -384,6 +385,7 @@ def inner_bound_minimized(net: TreeNetwork, total_distortion: float) -> float:
     ``0.5 * log2(prod(s2_i) / (D/n)^n)``."""
     if not (total_distortion > 0.0 and math.isfinite(total_distortion)):
         raise InfeasibleError(f"total distortion must be positive, got {total_distortion!r}")
+    _require_links(net)
     share = total_distortion / len(net.sources)
     test_channel_variances(net, {i: share for i in net.sources})
     return _equal_split_rate(net, share)

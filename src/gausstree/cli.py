@@ -234,7 +234,6 @@ def _cmd_allocate(args) -> int:
     if args.D is None:
         raise InputError("--D is required")
     if args.method == "penalized":
-        bounds._require_links(net)
         result = allocation.allocate_numeric_penalized(net, args.D, tol=args.tol)
     else:
         result = allocation.allocate_equal_incremental(net, args.D)

@@ -27,7 +27,7 @@ neighbours ``k`` of ``b``.
 
 Every per-link recursion of the package -- subtree and oriented
 variances, test-channel variances, quantizer designs, the oracle's
-linear rows and each Monte-Carlo trial -- is one call of
+linear rows and each Monte-Carlo chunk of trials -- is one call of
 :meth:`LinkCascade.fold`.  It evaluates ``step(link, src, fed)`` once per
 link, after every link that feeds it: in aggregation over the uplinks
 ``i -> parent(i)`` (keyed by ``i``) leaves-first, in consensus over all
@@ -141,7 +141,12 @@ def _check_node_id(value: object, what: str) -> int:
 def _check_weight(node: int, value: object) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TreeError(f"node {node}: weight must be a number, got {value!r}")
-    w = float(value)
+    try:
+        w = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise TreeError(
+            f"node {node}: weight must be finite, got an integer too large for a float"
+        ) from None
     if not math.isfinite(w):
         raise TreeError(f"node {node}: weight must be finite, got {w!r}")
     if w == 0.0:
@@ -178,13 +183,9 @@ class LinkCascade:
         n = len(parents) + 1
         parent = [parents.get(i, -1) for i in range(n)]
         children: list[list[int]] = [[] for _ in range(n)]
-        neighbors: list[list[int]] = [[] for _ in range(n)]
         for i in range(n):  # ascending ids fill every list in ascending order
             if i != root:
                 children[parent[i]].append(i)
-        for i in range(n):
-            for k in children[i] if i == root else (parent[i], *children[i]):
-                neighbors[k].append(i)
         # Reversed, this largest-child-first preorder is the ascending postorder.
         order: list[int] = []
         stack = [root]
@@ -206,10 +207,17 @@ class LinkCascade:
             subtree_size[parent[node]] += subtree_size[node]
         self.parent = tuple(parent)
         self.children = tuple(map(tuple, children))
-        self.neighbors = tuple(map(tuple, neighbors))
         self.postorder = tuple(order)
         self.position = tuple(position)
         self.subtree_size = tuple(subtree_size)
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        # Built on first use: only consensus and directed trees read them.
+        return tuple(
+            kids if up < 0 else tuple(sorted((up, *kids)))
+            for up, kids in zip(self.parent, self.children)
+        )
 
     @cached_property
     def size(self) -> dict[DirectedEdge, int]:

@@ -28,7 +28,13 @@ uniform scalar quantizer (an aggregation baseline).
 
 Randomness is counter-based: each (seed, trial, role, entity) tuple keys
 an independent Philox stream, so per-node streams are reproducible and
-insensitive to evaluation order.
+insensitive to evaluation order.  The Monte-Carlo engine folds once per
+chunk of consecutive trials over ``(chunk, blocklength)`` blocks, the
+chunk bounded by a fixed memory budget (``_CHUNK_FLOATS``).  Row ``r`` of
+every block is drawn from trial ``r``'s own stream by one Philox
+generator per run, re-positioned at the start of each stream, and each
+row is reduced on its own; so the output is the same for every chunk
+size, and the same as drawing one trial at a time.
 """
 
 from __future__ import annotations
@@ -66,6 +72,11 @@ _PSD_TOL = 1e-10
 #: Clipping range of the dithered quantizer, in design standard deviations.
 _DITHER_CLIP_SIGMAS = 4.0
 
+#: Live floats one Monte-Carlo chunk of trials may hold (4 MiB): the
+#: observing nodes' data and the links' descriptions, ``blocklength``
+#: samples each per trial.
+_CHUNK_FLOATS = 1 << 19
+
 _ROLE_SOURCE = 0
 _ROLE_CHANNEL = 1
 _ROLE_DITHER = 2
@@ -98,12 +109,32 @@ class SimulationConfig:
             )
 
 
-def _stream(seed: int, trial: int, role: int, index: int) -> Generator:
+def _stream(rng: Generator, seed: int, trial: int, role: int, index: int) -> Generator:
     # One Philox stream per (seed, trial, role, entity); streams can never
     # collide because they start in distinct 2^64-sized counter blocks.
-    counter = np.array([0, role, index, trial], dtype=np.uint64)
-    key = np.array([seed, 0], dtype=np.uint64)
-    return Generator(Philox(counter=counter, key=key))
+    # ``rng`` is re-positioned at the stream's start with an empty buffer,
+    # the state of a fresh ``Philox(counter=[0, role, index, trial],
+    # key=[seed, 0])``, so it draws exactly what that generator would.
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, role, index, trial), "key": (seed, 0)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def _normal_block(
+    rng: Generator, seed: int, trials: range, role: int, index: int, n_samples: int
+) -> np.ndarray:
+    """Standard normals, one row per trial, row ``r`` from trial
+    ``trials[r]``'s stream."""
+    block = np.empty((len(trials), n_samples))
+    for row, trial in zip(block, trials):
+        _stream(rng, seed, trial, role, index).standard_normal(out=row)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +438,12 @@ class SimulationResult:
         return rows
 
 
+def _row_means(block: np.ndarray) -> np.ndarray:
+    # What ``np.mean(block, axis=1)`` returns, bit for bit (a float64 sum
+    # over each row, divided by the row length), without its dispatch.
+    return np.add.reduce(block, axis=1, dtype=np.float64) / block.shape[1]
+
+
 def _means_and_cis(samples: Mapping[object, np.ndarray]) -> tuple[dict, dict]:
     """Mean over the trials and its 3-sigma half-width, for every key."""
     means, cis = {}, {}
@@ -419,45 +456,52 @@ def _means_and_cis(samples: Mapping[object, np.ndarray]) -> tuple[dict, dict]:
 def _monte_carlo(
     net: TreeNetwork,
     cfg: SimulationConfig,
-    encode: Callable[[int, object, np.ndarray], np.ndarray],
+    encode: Callable[[Generator, range, object, np.ndarray], np.ndarray],
     scheme: str,
     references: dict,
     consensus: bool = False,
 ) -> SimulationResult:
     """The one Monte-Carlo engine behind every ``simulate_*`` function.
 
-    Each trial draws every observing node's data, then folds once over the
-    links: a link's estimate is its source's weighted data plus the
-    descriptions fed in, and ``encode(trial, link, estimate)`` returns its
+    The trials run in chunks of consecutive trials, sized so that every
+    observing node's data and every link's description, ``(chunk,
+    blocklength)`` blocks, fit in ``_CHUNK_FLOATS`` floats.  Each chunk
+    draws every observing node's data, then folds once over the links: a
+    link's estimate is its source's weighted data plus the descriptions
+    fed in, and ``encode(rng, trials, link, estimate)`` returns its
     description.  Then each sink forms its estimate -- the aggregation root
     sums the descriptions it receives, every consensus node adds them to
     its own weighted data -- and its squared error against the target is
     recorded.  Per-link incremental distortions, estimate variances and
     the sink errors are averaged over trials with 3-sigma half-widths.
+    Row ``r`` of every block is trial ``trials[r]``, drawn from that
+    trial's own streams through ``rng`` (see :func:`_stream`) and reduced
+    on its own, so the output does not depend on the chunk size.
     """
     cascade = net.cascade
     nodes = net.node_ids if consensus else net.sources
     links = cascade.edges if consensus else net.sources
     sinks = nodes if consensus else (net.root,)
     weights, n_samples = net.weights, cfg.blocklength
+    rng = Generator(Philox(key=np.array([cfg.seed, 0], dtype=np.uint64)))
+    chunk = max(1, _CHUNK_FLOATS // (n_samples * max(1, len(nodes) + len(links))))
     inc = {link: np.empty(cfg.trials) for link in links}
     var = {link: np.empty(cfg.trials) for link in links}
     sink_sq = {k: np.empty(cfg.trials) for k in sinks}
-    for trial in range(cfg.trials):
-        data = {
-            i: _stream(cfg.seed, trial, _ROLE_SOURCE, i).standard_normal(n_samples)
-            for i in nodes
-        }
+    for start in range(0, cfg.trials, chunk):
+        trials = range(start, min(start + chunk, cfg.trials))
+        rows = slice(trials.start, trials.stop)
+        data = {i: _normal_block(rng, cfg.seed, trials, _ROLE_SOURCE, i, n_samples) for i in nodes}
 
         def transmit(link, src: int, fed: list) -> np.ndarray:
             estimate = _sum_into(weights[src] * data[src], fed)
-            description = encode(trial, link, estimate)
-            inc[link][trial] = float(np.mean((estimate - description) ** 2))
-            var[link][trial] = float(np.mean(estimate**2))
+            description = encode(rng, trials, link, estimate)
+            inc[link][rows] = _row_means((estimate - description) ** 2)
+            var[link][rows] = _row_means(estimate**2)
             return description
 
         descriptions = cascade.fold(transmit, consensus)
-        target = sum(weights[i] * data[i] for i in nodes)
+        target = sum((weights[i] * data[i] for i in nodes), np.zeros((len(trials), n_samples)))
         for k in sinks:
             if consensus:
                 estimate = _sum_into(
@@ -465,8 +509,8 @@ def _monte_carlo(
                 )
             else:
                 estimate = _sum_into(0, [descriptions[c] for c in net.children[k]])
-            sink_sq[k][trial] = float(np.mean((target - estimate) ** 2))
-        del descriptions  # free this trial's blocks before the next trial draws
+            sink_sq[k][rows] = _row_means((target - estimate) ** 2)
+        del data, descriptions  # free this chunk's blocks before the next chunk draws
 
     inc_mean, inc_ci = _means_and_cis(inc)
     var_mean, var_ci = _means_and_cis(var)
@@ -492,10 +536,10 @@ def _test_channel(cfg: SimulationConfig, laws: Mapping, entity: Mapping):
     """Encoder drawing each description from the exact test-channel law
     given the estimate; ``entity[link]`` keys the link's noise stream."""
 
-    def encode(trial: int, link, estimate: np.ndarray) -> np.ndarray:
+    def encode(rng: Generator, trials: range, link, estimate: np.ndarray) -> np.ndarray:
         law = laws[link]
-        noise = _stream(cfg.seed, trial, _ROLE_CHANNEL, entity[link]).standard_normal(
-            cfg.blocklength
+        noise = _normal_block(
+            rng, cfg.seed, trials, _ROLE_CHANNEL, entity[link], cfg.blocklength
         ) * math.sqrt(law.conditional_variance)
         return law.gain * estimate + noise
 
@@ -607,17 +651,20 @@ def simulate_dithered_baseline(
     n_samples = cfg.blocklength
     saturated = {i: np.empty(cfg.trials) for i in net.sources}
 
-    def quantize(trial: int, node: int, estimate: np.ndarray) -> np.ndarray:
+    def quantize(rng: Generator, trials: range, node: int, estimate: np.ndarray) -> np.ndarray:
+        rows = slice(trials.start, trials.stop)
         if rate_map[node] > 0.0:
-            dither = _stream(cfg.seed, trial, _ROLE_DITHER, node).uniform(
-                -0.5 * step[node], 0.5 * step[node], n_samples
-            )
+            dither = np.empty_like(estimate)
+            for row, trial in zip(dither, trials):
+                row[:] = _stream(rng, cfg.seed, trial, _ROLE_DITHER, node).uniform(
+                    -0.5 * step[node], 0.5 * step[node], n_samples
+                )
             shifted = estimate + dither
-            saturated[node][trial] = float(np.mean(np.abs(shifted) > clip[node]))
+            saturated[node][rows] = _row_means(np.abs(shifted) > clip[node])
             clipped = np.clip(shifted, -clip[node], clip[node])
             return step[node] * np.round(clipped / step[node]) - dither
-        saturated[node][trial] = 0.0
-        return np.zeros(n_samples)
+        saturated[node][rows] = 0.0
+        return np.zeros(estimate.shape)
 
     nominal = {
         i: step[i] ** 2 / 12.0 if rate_map[i] > 0.0 else variance[i]

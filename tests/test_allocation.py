@@ -206,3 +206,9 @@ class TestSerialization:
         rows = result.to_csv_rows(net)
         assert rows[0] == ["from", "to", "inc", "rate_bits"]
         assert rows[-1][0] == "total"
+
+
+def test_penalized_allocator_refuses_a_tree_without_links():
+    sink_only = TreeNetwork(root=0, parents={}, weights={})
+    with pytest.raises(InputError, match="at least one node besides the root"):
+        allocation.allocate_numeric_penalized(sink_only, 0.1)

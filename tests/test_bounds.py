@@ -463,3 +463,12 @@ class TestReports:
         payload = report.to_json_dict()
         assert "outer_incremental_bits" in payload
         assert "cutset_bits" not in payload
+
+
+@pytest.mark.parametrize(
+    "bound", [bounds.outer_bound_closed_form, bounds.inner_bound_minimized]
+)
+def test_closed_form_bounds_refuse_a_tree_without_links(bound):
+    sink_only = TreeNetwork(root=0, parents={}, weights={})
+    with pytest.raises(InputError, match="at least one node besides the root"):
+        bound(sink_only, 0.1)

@@ -193,3 +193,17 @@ def test_structure_and_cycle_check_match_a_reference(data, n):
         net = TreeNetwork(root=root, parents=parents, weights=weights)
         views = [net.children[i] for i in range(n)], [net.neighbors[i] for i in range(n)]
         assert (net.leaves_first, *views) == expected
+
+
+
+@pytest.mark.parametrize("shape", ["line", "star", "random"])
+def test_neighbors_are_built_only_when_consensus_reads_them(shape):
+    rng = np.random.default_rng(17)
+    agg = shaped_tree(rng, shape, 40)
+    bounds.full_report(agg, 0.01)
+    assert "neighbors" not in vars(agg.cascade)
+
+    net = shaped_tree(rng, shape, 40, mode="consensus")
+    bounds.consensus_report(net, {e: 1e-3 for e in directed_edges(net)}, 0.078)
+    expected = reference_structure(net.root, net.parents, 40)[2]
+    assert list(vars(net.cascade)["neighbors"]) == expected

@@ -337,8 +337,9 @@ def test_tree_without_links_still_allocates_and_simulates(capsys, tmp_path, argv
         ([1e200, 1.0], "node 1: weight 1e+200 has no positive finite square"),
         ([1.0, 1e-200], "node 2: weight 1e-200 has no positive finite square"),
         ([1e154, 1e154], "the sum of squared weights (the total variance) overflows"),
+        ([10**400, 1.0], "node 1: weight must be finite, got an integer too large for a float"),
     ],
-    ids=["square-overflows", "square-underflows", "sum-overflows"],
+    ids=["square-overflows", "square-underflows", "sum-overflows", "integer-overflows"],
 )
 @pytest.mark.parametrize(
     "argv",
