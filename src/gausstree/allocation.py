@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum, log2
-from typing import Mapping
 
 import numpy as np
 
@@ -59,11 +58,9 @@ class RateAllocation:
 
     def link_records(self, net: TreeNetwork) -> list[dict]:
         records = []
+        edge = net.links(isinstance(self.profile, ConsensusProfile)).edge
         for key in sorted(self.per_link_rate_bits):
-            if isinstance(key, DirectedEdge):
-                src, dst = key.src, key.dst
-            else:
-                src, dst = key, net.parents[key]
+            src, dst = edge[key]
             records.append(
                 {
                     "from": src,
@@ -108,17 +105,17 @@ def allocate_equal_incremental(net: TreeNetwork, total_distortion: float) -> Rat
     The sum rate coincides with the closed-form inner bound at ``D``.
     """
     total_distortion = _check_budget(total_distortion)
-    n = len(net.sources)
-    inc = {i: total_distortion / n for i in net.sources}
+    view = net.links()
+    inc = {i: total_distortion / len(view.keys) for i in view.keys}
     # inner_bound validates the map (D/n can underflow to 0.0) and its
     # feasibility, so deriving the profile need not validate it again.
     inner = bounds.inner_bound(net, inc)
-    profile = bounds._derive(net, inc)
+    profile = bounds._derive(view, inc)
     return RateAllocation(
         method="equal-split",
         per_link_rate_bits=inner.per_link_rate_bits,
         profile=profile,
-        sum_rate_bits=fsum(inner.per_link_rate_bits[i] for i in net.sources),
+        sum_rate_bits=fsum(inner.per_link_rate_bits[i] for i in view.keys),
     )
 
 
@@ -179,9 +176,7 @@ def allocate_numeric_penalized(
 
     inc_map = dict(zip(links, inc.tolist()))
     profile = bounds.derive_distortions(net, inc_map)
-    rates = {
-        i: 0.5 * log2(net.subtree_variances[i] / inc_map[i]) for i in links
-    }
+    rates = bounds._link_rates(net.links(), inc_map)
     return RateAllocation(
         method="numeric-penalized",
         per_link_rate_bits=rates,
@@ -197,6 +192,7 @@ def allocate_numeric_penalized(
 
 def _consensus_setup(net: TreeNetwork, total_distortion: float):
     total_distortion = _check_budget(total_distortion)
+    bounds._require_consensus(net)
     edges = directed_edges(net)
     mult = np.array([net.cascade.multiplicity(e) for e in edges], dtype=float)
     return total_distortion, edges, mult
@@ -268,7 +264,7 @@ def _consensus_allocation(
 ) -> RateAllocation:
     inc = dict(zip(edges, inc_vec.tolist()))
     profile = bounds.consensus_derive(net, inc)
-    rates = {e: 0.5 * log2(net.oriented_variances[e] / inc[e]) for e in edges}
+    rates = bounds._link_rates(net.links(True), inc)
     return RateAllocation(
         method=method,
         per_link_rate_bits=rates,
@@ -286,30 +282,25 @@ def rates_for_profile(
     variances; links whose incremental distortion exceeds the carried
     variance get rate 0 and a warning instead of a negative rate.
     """
-    if isinstance(profile, ConsensusProfile):
-        variances: Mapping = net.oriented_variances
-        keys = list(directed_edges(net))
-    elif isinstance(profile, DistortionProfile):
-        variances = net.subtree_variances
-        keys = list(net.sources)
-    else:
+    if not isinstance(profile, (ConsensusProfile, DistortionProfile)):
         raise InputError(f"unsupported profile type {type(profile).__name__}")
+    view = net.links(isinstance(profile, ConsensusProfile))
     rates = {}
     warnings = []
-    for key in keys:
-        inc = profile.inc[key]
-        if inc >= variances[key]:
+    for key in view.keys:
+        inc, s2 = profile.inc[key], view.carried[key]
+        if inc >= s2:
             rates[key] = 0.0
             warnings.append(
                 f"link {key}: incremental distortion {inc:g} reaches the carried "
-                f"variance {variances[key]:g}; rate clipped to 0"
+                f"variance {s2:g}; rate clipped to 0"
             )
         else:
-            rates[key] = 0.5 * log2(variances[key] / inc)
+            rates[key] = 0.5 * log2(s2 / inc)
     return RateAllocation(
         method="profile-rates",
         per_link_rate_bits=rates,
         profile=profile,
-        sum_rate_bits=fsum(rates[k] for k in keys),
+        sum_rate_bits=fsum(rates[k] for k in view.keys),
         warnings=tuple(warnings),
     )

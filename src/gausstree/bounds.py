@@ -10,13 +10,13 @@ with its line-network asymptote ``0.5 * log2(n!)``.
 Consensus mode evaluates the same per-link formulas once per directed
 edge, with oriented subtrees replacing rooted subtrees and per-root
 distortions summing the incremental distortions along each directed
-tree.  One private loop per bound (penalty, outer bound, test-channel
-recursion, inner bound) serves both modes; the public consensus
-functions only check that every node is weighted and validate the map.
+tree.  One private loop per quantity (derived distortions, penalty,
+outer bound, test-channel recursion, inner bound) runs over one mode's
+:class:`~gausstree.network.LinkSet`; the public consensus functions
+only check that every node is weighted and validate the map.
 
-The accumulation sums are one fold over the network's link cascade
-(:class:`~gausstree.network.LinkCascade`), O(n) in both modes, and
-exact: ``tx`` equals ``math.fsum`` over the strictly upstream links and
+The accumulation sums are the view's exact sums, O(n) in both modes:
+``tx`` equals ``math.fsum`` over the strictly upstream links and
 ``per_root`` equals ``math.fsum`` over the directed tree, bit for bit,
 while ``rx = tx + inc`` is one float addition.
 
@@ -38,8 +38,8 @@ from .errors import ConsistencyError, InfeasibleError, InputError
 from .infomeasures import LOG2E
 from .network import (
     DirectedEdge,
+    LinkSet,
     TreeNetwork,
-    directed_edges,
     normalize_edge_map,
     normalize_link_map,
 )
@@ -73,6 +73,9 @@ __all__ = [
 #: Slack allowed before the test-channel variance recursion is declared
 #: inconsistent with the subtree variances it can never exceed.
 _RECURSION_TOL = 1e-9
+
+#: How a test-channel diagnostic names a link and the variance it carries.
+_LINK_WORDS = {"aggregation": ("node", "subtree"), "consensus": ("edge", "oriented")}
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +129,17 @@ def derive_distortions(net: TreeNetwork, inc: Mapping[int, float]) -> Distortion
         With ``rx = tx + inc`` per link and ``total = sum(inc)``, all
         exact; deriving twice is idempotent.
     """
-    return _derive(net, normalize_link_map(net, inc, "incremental distortions"))
+    return _derive(net.links(), normalize_link_map(net, inc, "incremental distortions"))
 
 
-def _derive(net: TreeNetwork, inc: dict[int, float]) -> DistortionProfile:
-    # derive_distortions for a map already validated by normalize_link_map.
-    tx = net.cascade.upstream_sums(inc)
-    rx = {i: tx[i] + inc[i] for i in net.sources}
-    return DistortionProfile(inc=inc, tx=tx, rx=rx, total=fsum(inc.values()))
+def _derive(view: LinkSet, inc: dict) -> DistortionProfile | ConsensusProfile:
+    # derive_distortions or consensus_derive for a validated map.
+    tx, per_root = view.sums(inc)
+    rx = {link: tx[link] + inc[link] for link in view.keys}
+    total = fsum(per_root.values())
+    if view.mode == "consensus":
+        return ConsensusProfile(inc=inc, tx=tx, rx=rx, per_root=per_root, total=total)
+    return DistortionProfile(inc=inc, tx=tx, rx=rx, total=total)
 
 
 def consensus_derive(
@@ -146,16 +152,12 @@ def consensus_derive(
     the full directed tree towards ``k``.
     """
     _require_consensus(net)
-    inc = normalize_edge_map(net, inc, "incremental distortions")
-    tx, per_root = net.cascade.consensus_sums(inc)
-    rx = {e: tx[e] + inc[e] for e in inc}
-    return ConsensusProfile(
-        inc=inc,
-        tx=tx,
-        rx=rx,
-        per_root=per_root,
-        total=fsum(per_root[k] for k in sorted(per_root)),
-    )
+    return _derive(net.links(True), normalize_edge_map(net, inc, "incremental distortions"))
+
+
+def _require_budget(total_distortion: float) -> None:
+    if not (total_distortion > 0.0 and math.isfinite(total_distortion)):
+        raise InfeasibleError(f"total distortion must be positive, got {total_distortion!r}")
 
 
 def _require_links(net: TreeNetwork) -> None:
@@ -186,17 +188,16 @@ def outer_bound_penalty(net: TreeNetwork, i: int, x: float) -> float:
     net._require_node(i)
     if i == net.root:
         raise InputError("the root has no uplink, so no penalty term")
-    return _link_penalty(net, i, x)
+    return _link_penalty(net.links(), i, x)
 
 
-def _link_penalty(net: TreeNetwork, link, x: float, consensus: bool = False) -> float:
-    """:func:`outer_bound_penalty` for an existing link of the mode, read
-    with the variance it carries and the weight of its transmitting node
-    (a consensus edge uses its oriented subtree and its ``src``)."""
+def _link_penalty(view: LinkSet, link, x: float) -> float:
+    """:func:`outer_bound_penalty` for a link of the view, read with the
+    variance it carries and the weight of its transmitting node (a
+    consensus edge uses its oriented subtree and its ``src``)."""
     if not (x >= 0.0 and math.isfinite(x)):
         raise InputError(f"penalty argument must be non-negative, got {x!r}")
-    s2 = (net.oriented_variances if consensus else net.subtree_variances)[link]
-    w2 = net.weights[link.src if consensus else link] ** 2
+    s2, w2 = view.carried[link], view.own[link]
     return x / (2.0 * w2) + LOG2E / (2.0 * s2) * math.sqrt(2.0 * x * (4.0 * s2 + x))
 
 
@@ -214,28 +215,26 @@ def outer_bound_incremental(net: TreeNetwork, profile: DistortionProfile) -> Out
     Per link: ``0.5 * (log2(s2_i / inc_i) - penalty_i(tx_i))``, reported
     raw (no clipping).
     """
-    return _outer_bound(net, profile, consensus=False)
+    return _outer_bound(net.links(), profile)
 
 
-def _outer_bound(net: TreeNetwork, profile, consensus: bool) -> OuterBound:
-    links = directed_edges(net) if consensus else net.sources
-    carried = net.oriented_variances if consensus else net.subtree_variances
+def _outer_bound(view: LinkSet, profile) -> OuterBound:
     per_link = {}
-    for link in links:
+    for link in view.keys:
         per_link[link] = 0.5 * (
-            log2(carried[link] / profile.inc[link])
-            - _link_penalty(net, link, profile.tx[link], consensus)
+            log2(view.carried[link] / profile.inc[link])
+            - _link_penalty(view, link, profile.tx[link])
         )
-    return OuterBound(fsum(per_link[link] for link in links), per_link)
+    return OuterBound(fsum(per_link[link] for link in view.keys), per_link)
 
 
 def outer_bound_closed_form(net: TreeNetwork, total_distortion: float) -> float:
     """Scheme-independent closed-form lower bound at total distortion ``D``:
     ``0.5 * log2(prod(s2_i) / (D/n)^n) - 0.5 * sum_i penalty_i(D)``."""
-    if not (total_distortion > 0.0 and math.isfinite(total_distortion)):
-        raise InfeasibleError(f"total distortion must be positive, got {total_distortion!r}")
+    _require_budget(total_distortion)
     _require_links(net)
-    penalty = fsum(_link_penalty(net, i, total_distortion) for i in net.sources)
+    view = net.links()
+    penalty = fsum(_link_penalty(view, i, total_distortion) for i in view.keys)
     return _equal_split_rate(net, total_distortion / len(net.sources)) - 0.5 * penalty
 
 
@@ -260,13 +259,14 @@ def gap_report(net: TreeNetwork, profile: DistortionProfile) -> GapReport:
     Each link contributes ``0.5 * log2(rx_i / inc_i) - 0.5 * penalty_i(tx_i)``;
     leaves contribute exactly zero.
     """
+    view = net.links()
     per_link = {}
-    for i in net.sources:
+    for i in view.keys:
         per_link[i] = 0.5 * (
             log2(profile.rx[i] / profile.inc[i])
-            - _link_penalty(net, i, profile.tx[i])
+            - _link_penalty(view, i, profile.tx[i])
         )
-    return GapReport(fsum(per_link[i] for i in net.sources), per_link)
+    return GapReport(fsum(per_link[i] for i in view.keys), per_link)
 
 
 def line_gap_asymptote(n: int) -> float:
@@ -281,7 +281,7 @@ def consensus_outer(net: TreeNetwork, profile: ConsensusProfile) -> OuterBound:
     """Incremental-distortion outer bound on the consensus sum rate,
     summed over all directed edges with oriented-subtree variances."""
     _require_consensus(net)
-    return _outer_bound(net, profile, consensus=True)
+    return _outer_bound(net.links(True), profile)
 
 
 def classical_consensus_comparator_bits(n: int, total_distortion: float) -> float:
@@ -290,8 +290,7 @@ def classical_consensus_comparator_bits(n: int, total_distortion: float) -> floa
     order-level, not sharpened, so nothing is asserted against it."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f"node count must be a positive integer, got {n!r}")
-    if not (total_distortion > 0.0 and math.isfinite(total_distortion)):
-        raise InfeasibleError(f"total distortion must be positive, got {total_distortion!r}")
+    _require_budget(total_distortion)
     return max(0.0, 0.5 * n * log2(1.0 / (n**1.5 * total_distortion)))
 
 
@@ -309,18 +308,18 @@ def test_channel_variances(net: TreeNetwork, d: Mapping[int, float]) -> dict[int
     never exceeds the subtree variances; a violation beyond round-off is
     reported as an internal-consistency failure.
     """
-    return _test_channel_variances(net, normalize_link_map(net, d, "distortion parameters"))
+    return _test_channel_variances(net.links(), normalize_link_map(net, d, "distortion parameters"))
 
 
-def _test_channel_variances(net: TreeNetwork, d: Mapping, consensus: bool = False) -> dict:
+def _test_channel_variances(view: LinkSet, d: Mapping) -> dict:
     # One fold: a link's estimate variance is w_src^2 plus the description
     # variances sigma_hat - d of the links that feed it.
-    what, ceiling = ("edge", "oriented") if consensus else ("node", "subtree")
-    carried = net.oriented_variances if consensus else net.subtree_variances
+    what, ceiling = _LINK_WORDS[view.mode]
+    carried, own = view.carried, view.own
     sigma_hat: dict = {}
 
     def describe(link, src: int, fed: list) -> float:
-        var = fsum([net.weights[src] ** 2, *fed])
+        var = fsum([own[link], *fed])
         if d[link] > var:
             raise InfeasibleError(
                 f"{what} {link}: distortion {d[link]:g} exceeds test-channel variance {var:g}"
@@ -333,7 +332,7 @@ def _test_channel_variances(net: TreeNetwork, d: Mapping, consensus: bool = Fals
         sigma_hat[link] = var
         return var - d[link]
 
-    net.cascade.fold(describe, consensus)
+    view.fold(describe)
     return sigma_hat
 
 
@@ -354,37 +353,35 @@ def inner_bound(net: TreeNetwork, d: Mapping[int, float]) -> InnerBound:
     the test-channel variances, so this is achievable) and distortion
     ``sum_i d_i``; validates the test-channel variance recursion.
     """
-    return _inner_bound(net, normalize_link_map(net, d, "distortion parameters"))
+    d = normalize_link_map(net, d, "distortion parameters")
+    return _inner_bound(net.links(), d, fsum(d.values()))
 
 
-def _inner_bound(
-    net: TreeNetwork, d: Mapping, consensus: bool = False, per_root: Mapping | None = None
-) -> InnerBound:
+def _inner_bound(view: LinkSet, d: Mapping, distortion: float | None = None) -> InnerBound:
     # inner_bound or consensus_inner for a validated map; a caller holding
-    # the per-root totals of d passes them instead of folding d again.
-    sigma_hat = _test_channel_variances(net, d, consensus)
-    links = directed_edges(net) if consensus else net.sources
-    carried = net.oriented_variances if consensus else net.subtree_variances
-    per_link = {link: 0.5 * log2(carried[link] / d[link]) for link in links}
-    if consensus:
-        if per_root is None:
-            _, per_root = net.cascade.consensus_sums(d)
+    # its end-to-end distortion passes it instead of summing d again.
+    sigma_hat = _test_channel_variances(view, d)
+    per_link = _link_rates(view, d)
+    if distortion is None:
+        _, per_root = view.sums(d)
         distortion = fsum(per_root.values())
-    else:
-        distortion = fsum(d[i] for i in links)
     return InnerBound(
-        rate_bits=fsum(per_link[link] for link in links),
+        rate_bits=fsum(per_link[link] for link in view.keys),
         distortion=distortion,
         sigma_hat=sigma_hat,
         per_link_rate_bits=per_link,
     )
 
 
+def _link_rates(view: LinkSet, inc: Mapping) -> dict:
+    # The Gaussian rate 0.5 * log2(carried / inc) of every link, raw.
+    return {link: 0.5 * log2(view.carried[link] / inc[link]) for link in view.keys}
+
+
 def inner_bound_minimized(net: TreeNetwork, total_distortion: float) -> float:
     """Inner-bound sum rate at the equal split ``d_i = D/n``:
     ``0.5 * log2(prod(s2_i) / (D/n)^n)``."""
-    if not (total_distortion > 0.0 and math.isfinite(total_distortion)):
-        raise InfeasibleError(f"total distortion must be positive, got {total_distortion!r}")
+    _require_budget(total_distortion)
     _require_links(net)
     share = total_distortion / len(net.sources)
     test_channel_variances(net, {i: share for i in net.sources})
@@ -401,14 +398,15 @@ def consensus_test_channel_variances(
 ) -> dict[DirectedEdge, float]:
     """Directed test-channel variance recursion for consensus."""
     _require_consensus(net)
-    return _test_channel_variances(net, normalize_edge_map(net, d, "distortion parameters"), True)
+    d = normalize_edge_map(net, d, "distortion parameters")
+    return _test_channel_variances(net.links(True), d)
 
 
 def consensus_inner(net: TreeNetwork, d: Mapping[tuple[int, int], float]) -> InnerBound:
     """Gaussian-codebook inner bound for consensus: rate summed over all
     directed edges, distortion summed per root over its directed tree."""
     _require_consensus(net)
-    return _inner_bound(net, normalize_edge_map(net, d, "distortion parameters"), True)
+    return _inner_bound(net.links(True), normalize_edge_map(net, d, "distortion parameters"))
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +511,13 @@ def _link_label(key) -> str:
     return str(int(key))
 
 
-def _regime_warnings(net: TreeNetwork, inc: Mapping, variances: Mapping) -> tuple[str, ...]:
+def _regime_warnings(view: LinkSet, inc: Mapping) -> tuple[str, ...]:
     warnings = []
-    for key in sorted(inc):
-        if inc[key] >= variances[key]:
+    for key in view.keys:
+        if inc[key] >= view.carried[key]:
             warnings.append(
                 f"link {_link_label(key)}: incremental distortion {inc[key]:g} reaches "
-                f"the carried variance {variances[key]:g}; bound terms are non-positive"
+                f"the carried variance {view.carried[key]:g}; bound terms are non-positive"
             )
     return tuple(warnings)
 
@@ -539,10 +537,7 @@ def full_report(
     if equal_split:
         if total_distortion is None:
             raise InputError("either a total distortion or a per-link map is required")
-        if not (total_distortion > 0.0 and math.isfinite(total_distortion)):
-            raise InfeasibleError(
-                f"total distortion must be positive, got {total_distortion!r}"
-            )
+        _require_budget(total_distortion)
         _require_links(net)
         n = len(net.sources)
         inc = {i: total_distortion / n for i in net.sources}
@@ -550,11 +545,12 @@ def full_report(
     inc = normalize_link_map(net, inc, "incremental distortions")
     if not equal_split:
         total_distortion = fsum(inc.values())
-    profile = _derive(net, inc)
-    outer = outer_bound_incremental(net, profile)
+    view = net.links()
+    profile = _derive(view, inc)
+    outer = _outer_bound(view, profile)
     cut = cutset_bound(net, profile)
     closed = outer_bound_closed_form(net, total_distortion)
-    inner = _inner_bound(net, inc)
+    inner = _inner_bound(view, inc, profile.total)
     if equal_split:  # _inner_bound has just checked this very split
         minimized = _equal_split_rate(net, total_distortion / len(net.sources))
     else:
@@ -571,7 +567,7 @@ def full_report(
         gap_inner_outer_bits=inner.rate_bits - outer.total_bits,
         gap_incremental_cutset_bits=gap.delta_r_bits,
         per_link_rates_bits=inner.per_link_rate_bits,
-        regime_warnings=_regime_warnings(net, inc, net.subtree_variances),
+        regime_warnings=_regime_warnings(view, inc),
     )
 
 
@@ -584,8 +580,9 @@ def consensus_report(
 
 def _consensus_report(net: TreeNetwork, profile: ConsensusProfile, total: float) -> BoundsReport:
     # consensus_report on a profile made by consensus_derive.
-    outer = _outer_bound(net, profile, consensus=True)
-    inner = _inner_bound(net, profile.inc, True, profile.per_root)
+    view = net.links(True)
+    outer = _outer_bound(view, profile)
+    inner = _inner_bound(view, profile.inc, profile.total)
     return BoundsReport(
         mode="consensus",
         total_distortion=total,
@@ -598,5 +595,5 @@ def _consensus_report(net: TreeNetwork, profile: ConsensusProfile, total: float)
         gap_incremental_cutset_bits=None,
         per_link_rates_bits=inner.per_link_rate_bits,
         classical_comparator_bits=classical_consensus_comparator_bits(net.n_nodes, total),
-        regime_warnings=_regime_warnings(net, profile.inc, net.oriented_variances),
+        regime_warnings=_regime_warnings(view, profile.inc),
     )

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import allocation, bounds, simulator
 from .errors import ConsistencyError, InfeasibleError, InputError
-from .network import MAX_NODES, TreeNetwork, make_line, parse_tree
+from .network import MAX_NODES, LinkSet, TreeNetwork, make_line, parse_tree
 
 __all__ = ["build_parser", "gap_sweep", "main", "run"]
 
@@ -99,47 +99,70 @@ def _load_json(path: str):
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _link_map(path: str) -> dict[int, float]:
+def _number_map(path: str, what: str, parse_key) -> dict:
+    # A JSON object of numbers keyed by links: ``parse_key`` turns a key
+    # into its link, or raises ValueError (an InputError names its own
+    # fault).  Values are as strict as tree weights, and two keys that name
+    # one link are refused.
     doc = _load_json(path)
     if not isinstance(doc, dict):
-        raise InputError(f"{path}: expected an object mapping node ids to values")
-    out = {}
+        raise InputError(f"{path}: expected an object mapping {what} to values")
+    out, named = {}, {}
     for key, value in doc.items():
         try:
-            out[int(key)] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{path}: bad entry {key!r}: {value!r}") from exc
+            link = parse_key(key)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
+        except ValueError:
+            link = None
+        if link is None or isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputError(f"{path}: bad entry {key!r}: {value!r}")
+        if link in named:
+            raise InputError(f"{path}: keys {named[link]!r} and {key!r} name the same link")
+        try:
+            out[link] = float(value)
+        except OverflowError:
+            raise InputError(f"{path}: entry {key!r} is an integer too large for a float") from None
+        named[link] = key
     return out
+
+
+def _link_map(path: str) -> dict[int, float]:
+    return _number_map(path, "node ids", int)
+
+
+def _edge_key(key: str) -> tuple[int, int]:
+    parts = key.split("->")
+    if len(parts) != 2:
+        raise InputError(f'edge key {key!r} is not of the form "i->j"')
+    return int(parts[0]), int(parts[1])
 
 
 def _edge_map(path: str) -> dict[tuple[int, int], float]:
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise InputError(f'{path}: expected an object mapping "i->j" to values')
-    out = {}
-    for key, value in doc.items():
-        parts = key.split("->")
-        if len(parts) != 2:
-            raise InputError(f'{path}: edge key {key!r} is not of the form "i->j"')
-        try:
-            out[(int(parts[0]), int(parts[1]))] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{path}: bad entry {key!r}: {value!r}") from exc
-    return out
+    return _number_map(path, '"i->j"', _edge_key)
 
 
-def _require_distortion(args, net: TreeNetwork, consensus: bool):
-    """Per-link distortions from --d-per-link, else from --D."""
-    if getattr(args, "d_per_link", None):
-        return _edge_map(args.d_per_link) if consensus else _link_map(args.d_per_link)
+def _budget(args) -> float:
+    """--D, checked like every allocator's budget."""
     if args.D is None:
         raise InputError("either --D or --d-per-link is required")
-    if consensus:
-        return allocation.allocate_consensus(net, args.D).profile.inc
-    if not (args.D > 0):
-        raise InfeasibleError(f"infeasible distortion {args.D!r}")
-    n = len(net.sources)
-    return {i: args.D / n for i in net.sources}
+    return allocation._check_budget(args.D)
+
+
+def _aggregation_d(args, net: TreeNetwork) -> dict:
+    """Per-link distortions from --d-per-link, else the equal split of --D."""
+    if args.d_per_link:
+        return _link_map(args.d_per_link)
+    budget = _budget(args)
+    return {i: budget / len(net.sources) for i in net.sources}
+
+
+def _consensus_d(args, net: TreeNetwork) -> dict:
+    """Per-edge distortions from --d-per-link, else the consensus
+    allocation of --D."""
+    if args.d_per_link:
+        return _edge_map(args.d_per_link)
+    return allocation.allocate_consensus(net, _budget(args)).profile.inc
 
 
 def _line_too_long(n: int) -> InputError:
@@ -188,8 +211,7 @@ def gap_sweep(n_values: Iterable[int], d_values: Iterable[float]) -> list[dict]:
         net = make_line(n, [1.0] * n)
         asymptote = bounds.line_gap_asymptote(n)
         for d_total in sorted(set(d_values)):
-            if not d_total > 0:
-                raise InfeasibleError(f"infeasible distortion {d_total!r}")
+            allocation._check_budget(d_total)
             profile = bounds.derive_distortions(
                 net, {i: d_total / n for i in net.sources}
             )
@@ -221,7 +243,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_consensus_bounds(args) -> int:
     net = _load_tree(args.tree)
     if args.d_per_link or args.D is None:
-        profile = bounds.consensus_derive(net, _require_distortion(args, net, consensus=True))
+        profile = bounds.consensus_derive(net, _consensus_d(args, net))
     else:
         profile = allocation.allocate_consensus(net, args.D).profile
     report = bounds._consensus_report(net, profile, profile.total)
@@ -264,20 +286,16 @@ def _cmd_simulate(args, force_mode: str | None = None) -> int:
     if consensus:
         if args.scheme != "testchannel":
             raise InputError("the dithered baseline is aggregation-only")
-        d = _require_distortion(args, net, consensus=True)
-        result = simulator.simulate_consensus(net, d, cfg)
+        result = simulator.simulate_consensus(net, _consensus_d(args, net), cfg)
     elif args.scheme == "dither":
         if args.d_per_link:
             profile = bounds.derive_distortions(net, _link_map(args.d_per_link))
             rates = allocation.rates_for_profile(net, profile)
         else:
-            if args.D is None:
-                raise InputError("either --D or --d-per-link is required")
-            rates = allocation.allocate_equal_incremental(net, args.D)
+            rates = allocation.allocate_equal_incremental(net, _budget(args))
         result = simulator.simulate_dithered_baseline(net, rates, cfg)
     else:
-        d = _require_distortion(args, net, consensus=False)
-        result = simulator.simulate_aggregation(net, d, cfg)
+        result = simulator.simulate_aggregation(net, _aggregation_d(args, net), cfg)
     _emit(args, result.to_json_dict(), result.to_csv_rows())
     return 0
 
@@ -290,22 +308,24 @@ def _cmd_gap_sweep(args) -> int:
     return 0
 
 
-def _default_d(net: TreeNetwork, consensus: bool, fraction: float = 0.1) -> dict:
+def _default_d(view: LinkSet, fraction: float = 0.1) -> dict:
     """Every link describes ``fraction`` of its test-channel variance."""
     d: dict = {}
 
     def describe(link, src: int, fed: list) -> float:
-        var = net.weight(src) ** 2 + sum(fed)
+        var = view.own[link] + sum(fed)
         d[link] = fraction * var
         return var - d[link]
 
-    net.cascade.fold(describe, consensus)
+    view.fold(describe)
     return d
+
+
+_MODE_D = {"aggregation": _aggregation_d, "consensus": _consensus_d}
 
 
 def _cmd_validate(args) -> int:
     net = _load_tree(args.tree)
-    modes: list[str] = []
     if args.mode == "agg":
         modes = ["aggregation"]
     elif args.mode == "consensus":
@@ -314,11 +334,10 @@ def _cmd_validate(args) -> int:
         modes = ["aggregation"] + (["consensus"] if net.fully_weighted else [])
     summary: dict[str, object] = {}
     for mode in modes:
-        consensus = mode == "consensus"
         if args.d_per_link or args.D is not None:
-            d = _require_distortion(args, net, consensus)
+            d = _MODE_D[mode](args, net)
         else:
-            d = _default_d(net, consensus)
+            d = _default_d(net.links(mode == "consensus"))
         model = simulator.analytic_mmse_check(net, d, mode=mode)
         summary[mode] = {
             "links_checked": len(model.inc),

@@ -38,6 +38,11 @@ part of the contract: steps that draw random numbers or raise on the
 first bad link depend on it, and ``step`` does its own arithmetic, so
 every recursion keeps its own rounding.
 
+:meth:`TreeNetwork.links` is the one place the mode is decided: it
+returns the mode's :class:`LinkSet`, which every bound, allocator, oracle
+and simulator loop reads.  Each view is built on first use, because the
+consensus view's oriented variances cost O(sum of squared degrees).
+
 :meth:`LinkCascade.upstream_sums` and :meth:`LinkCascade.consensus_sums`
 sum values over the links in O(n) without a step per link: leaves-first
 every link ``c -> p`` collects the links that feed it, then root-first
@@ -66,7 +71,7 @@ import json
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import fsum
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -77,6 +82,7 @@ __all__ = [
     "MAX_NODES",
     "DirectedEdge",
     "LinkCascade",
+    "LinkSet",
     "SubtreeStats",
     "TreeError",
     "TreeNetwork",
@@ -90,10 +96,11 @@ __all__ = [
     "subtree_stats",
 ]
 
-#: Hard cap on network size.  The link cascade and the distortion folds
-#: are O(n) plus one O(n log n) sort; the recursions that visit every
-#: neighbour of a link's source (oriented and consensus test-channel
-#: variances) cost O(sum of squared degrees), and the exact oracle is dense.
+#: Hard cap on network size.  The link cascade and the exact distortion
+#: sums are O(n) plus one O(n log n) sort; the consensus folds, which visit
+#: every neighbour of a link's source (oriented variances, consensus
+#: test-channel variances), cost O(sum of squared degrees), quadratic on a
+#: star; the exact oracle is dense.
 MAX_NODES = 10_000
 
 
@@ -317,6 +324,53 @@ class LinkCascade:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class LinkSet:
+    """One mode's links: the ``keys`` ascending (the non-root node ids of
+    the uplinks in aggregation, the :class:`DirectedEdge` s in consensus),
+    per key the variance it carries (``carried``) and the squared weight of
+    its source (``own``), the ``observers`` with data and the ``sinks``
+    that estimate the whole sum.  Aggregation is consensus restricted to
+    the directed tree towards its one sink, the root."""
+
+    mode: str
+    cascade: LinkCascade = field(repr=False)
+    keys: tuple
+    carried: Mapping = field(repr=False)
+    own: Mapping = field(repr=False)
+    observers: tuple[int, ...]
+    sinks: tuple[int, ...]
+
+    @cached_property
+    def edge(self) -> dict:
+        """Every key's link as a :class:`DirectedEdge`."""
+        if self.mode == "consensus":
+            return {e: e for e in self.keys}
+        return {i: DirectedEdge(i, self.cascade.parent[i]) for i in self.keys}
+
+    @cached_property
+    def into(self) -> tuple[tuple, ...]:
+        """Per node id, the keys of the links into it, ascending by source."""
+        if self.mode == "consensus":
+            return tuple(
+                tuple(DirectedEdge(k, node) for k in nbrs)
+                for node, nbrs in enumerate(self.cascade.neighbors)
+            )
+        return self.cascade.children
+
+    def fold(self, step: Callable[[object, int, list], object]) -> dict:
+        """:meth:`LinkCascade.fold` over this mode's links."""
+        return self.cascade.fold(step, self.mode == "consensus")
+
+    def sums(self, values: Mapping) -> tuple[dict, dict[int, float]]:
+        """Exact ``(tx, per_root)``: ``values`` summed over the links strictly
+        upstream of each key and over every link towards each sink."""
+        if self.mode == "consensus":
+            return self.cascade.consensus_sums(values)
+        total = fsum(values[i] for i in self.keys)
+        return self.cascade.upstream_sums(values), {self.sinks[0]: total}
+
+
 @dataclass(frozen=True)
 class TreeNetwork:
     """Immutable rooted weighted tree.
@@ -336,8 +390,10 @@ class TreeNetwork:
         Every square and their sum must be positive and finite.
 
     Node ids must be dense integers ``0 .. n_nodes-1``.  The constructor
-    builds ``cascade``, the network's :class:`LinkCascade`.  Instances are
-    immutable after construction and safe to share across threads.
+    builds ``cascade``, the network's :class:`LinkCascade`; every other
+    structure, each mode's :class:`LinkSet` included, is built on first
+    read.  Instances are immutable after construction and safe to share
+    across threads.
     """
 
     root: int
@@ -472,6 +528,24 @@ class TreeNetwork:
     @cached_property
     def oriented_variances(self) -> dict[DirectedEdge, float]:
         return self.cascade.fold(self._own_plus, consensus=True)
+
+    def links(self, consensus: bool = False) -> LinkSet:
+        """The aggregation or, with ``consensus``, the consensus
+        :class:`LinkSet`, built on first use."""
+        return self._consensus_links if consensus else self._aggregation_links
+
+    @cached_property
+    def _aggregation_links(self) -> LinkSet:
+        sources, own = self.sources, {i: self.weights[i] ** 2 for i in self.sources}
+        return LinkSet(
+            "aggregation", self.cascade, sources, self.subtree_variances, own, sources, (self.root,)
+        )
+
+    @cached_property
+    def _consensus_links(self) -> LinkSet:
+        edges, nodes = self.cascade.edges, self.node_ids
+        own = {e: self.weights.get(e.src, 0.0) ** 2 for e in edges}
+        return LinkSet("consensus", self.cascade, edges, self.oriented_variances, own, nodes, nodes)
 
     @property
     def directed_edge_order(self) -> tuple[DirectedEdge, ...]:

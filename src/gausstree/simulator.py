@@ -11,14 +11,14 @@ Two layers:
 * a Monte-Carlo simulator that reproduces the achieved distortions
   empirically with 3-sigma confidence intervals.
 
-Both layers walk the cascade with the network's link fold
-(:meth:`~gausstree.network.LinkCascade.fold`): the oracle builds each
+Both layers walk one mode's links, a
+:class:`~gausstree.network.LinkSet`, with its fold: the oracle builds each
 link's estimate and description as linear rows, and the Monte-Carlo
-engine draws them.  Each layer has one body for both modes, and only its
-setup branches on the mode: the observing nodes, the links, the sinks
-and the reference sums (aggregation is consensus restricted to the
-directed tree towards the root).  A scheme is an encoder that turns a
-link's estimate into its description.
+engine draws them.  Each layer has one body for both modes (aggregation
+is consensus restricted to the directed tree towards the root): the view
+gives the observing nodes, the links, the links into every sink and the
+reference sums, and only the shape of the result differs by mode.  A
+scheme is an encoder that turns a link's estimate into its description.
 Two encoders exist: the test channel (aggregation and consensus), where
 joint-typicality encoding is replaced by exact sampling from the
 test-channel conditional law of the description given the estimate -- at
@@ -53,7 +53,7 @@ from .allocation import RateAllocation
 from .bounds import DistortionProfile
 from .errors import ConsistencyError, InputError
 from .infomeasures import test_channel_law
-from .network import DirectedEdge, TreeNetwork, directed_edges
+from .network import DirectedEdge, LinkSet, TreeNetwork
 
 __all__ = [
     "AnalyticModel",
@@ -76,6 +76,13 @@ _DITHER_CLIP_SIGMAS = 4.0
 #: observing nodes' data and the links' descriptions, ``blocklength``
 #: samples each per trial.
 _CHUNK_FLOATS = 1 << 19
+
+#: How the oracle's diagnostics name a link, and a sink ``k``'s estimate
+#: and distortion.
+_ORACLE_NAMES = {
+    "aggregation": ("link {}", "sink", "total distortion"),
+    "consensus": ("edge {}", "node {}: MMSE", "node {}: consensus distortion"),
+}
 
 _ROLE_SOURCE = 0
 _ROLE_CHANNEL = 1
@@ -240,30 +247,19 @@ def analytic_mmse_check(
     source node) and the one sink ``net.root``, whose weight is ignored;
     consensus checks every directed edge, and every node is a sink.
     """
-    if mode not in ("aggregation", "consensus"):
-        raise InputError(f"unknown mode {mode!r}")
-    consensus = mode == "consensus"
-    cascade = net.cascade
-    if consensus:
+    if mode == "consensus":
         sigma_hat = bounds.consensus_test_channel_variances(net, d)
-        nodes = sinks = net.node_ids
-        links = edges = directed_edges(net)
-    else:
+    elif mode == "aggregation":
         bounds._require_links(net)
         sigma_hat = bounds.test_channel_variances(net, d)
-        nodes = links = net.sources
-        sinks = (net.root,)
-        edges = [DirectedEdge(i, net.parents[i]) for i in links]
+    else:
+        raise InputError(f"unknown mode {mode!r}")
+    view = net.links(mode == "consensus")
+    nodes, links, edge, into = view.observers, view.keys, view.edge, view.into
+    link_name, sink_name, sink_distortion = _ORACLE_NAMES[mode]
     d = {link: float(d[link]) for link in links}
     laws = {link: test_channel_law(sigma_hat[link], d[link]) for link in links}
-    if consensus:
-        downstream, sink_ref = cascade.consensus_sums(d)
-    else:
-        downstream = cascade.upstream_sums(d)
-        sink_ref = {net.root: fsum(d.values())}
-    into: dict[int, list] = {k: [] for k in net.node_ids}  # (src, link), ascending by src
-    for link, edge in zip(links, edges):
-        into[edge.dst].append((edge.src, link))
+    downstream, sink_ref = view.sums(d)
 
     # Primitives: one unit-variance source per observing node, then one
     # test-channel noise per link.
@@ -282,7 +278,7 @@ def analytic_mmse_check(
         system.rows[("V", link)] = laws[link].gain * row + system.basis(w_index[link])
         return system.rows[("V", link)]
 
-    cascade.fold(describe, consensus)
+    view.fold(describe)
 
     def partial_sum_row(members) -> np.ndarray:
         row = np.zeros(system.prim_var.size)
@@ -294,17 +290,18 @@ def analytic_mmse_check(
     def info_at(node: int, excluding: int | None = None) -> list:
         # The descriptions into ``node`` (except the one from ``excluding``),
         # then the node's own data when it observes.
-        keys: list = [("V", link) for src, link in into[node] if src != excluding]
+        keys: list = [("V", link) for link in into[node] if edge[link].src != excluding]
         if ("x", node) in system.rows:
             keys.append(("x", node))
         return keys
 
     inc, tx, rx, receiver_gains, receiver_info = {}, {}, {}, {}, {}
     error_rows = []
-    for link, edge in zip(links, edges):
-        target = partial_sum_row(cascade.members(edge))
-        _, est_tx, tx[link] = system.condition(target, info_at(edge.src, excluding=edge.dst))
-        dst_info = info_at(edge.dst)
+    for link in links:
+        src, dst = edge[link]
+        target = partial_sum_row(view.cascade.members(edge[link]))
+        _, est_tx, tx[link] = system.condition(target, info_at(src, excluding=dst))
+        dst_info = info_at(dst)
         gain, est_rx, rx[link] = system.condition(target, dst_info)
         receiver_gains[link] = gain
         receiver_info[link] = tuple(dst_info)
@@ -312,23 +309,23 @@ def analytic_mmse_check(
         inc[link] = system.variance(diff)
         error_rows.append(diff)
 
-        name = f"{'edge' if consensus else 'link'} {link}"
+        name = link_name.format(link)
         _relative_check(f"{name}: incremental distortion", inc[link], d[link], d[link])
         _relative_check(f"{name}: transmit distortion", tx[link], downstream[link], rx[link])
         _relative_check(f"{name}: receive distortion", rx[link], tx[link] + inc[link], rx[link])
 
     full_row = partial_sum_row(net.node_ids)
     per_root: dict[int, float] = {}
-    for k in sinks:
+    for k in view.sinks:
         _, est, per_root[k] = system.condition(full_row, info_at(k))
         # The MMSE estimate must literally be what the coding scheme
         # outputs: the received descriptions plus the sink's own data.
         own = net.weights[k] * system.rows[("x", k)] if ("x", k) in system.rows else 0
-        output = _sum_into(own, [system.rows[("V", link)] for _, link in into[k]])
+        output = _sum_into(own, [system.rows[("V", link)] for link in into[k]])
         if system.variance(est - output) > _IDENTITY_TOL:
-            where = f"node {k}: MMSE" if consensus else "sink"
+            where = sink_name.format(k)
             raise ConsistencyError(f"{where} estimate differs from the description sum")
-        name = f"node {k}: consensus distortion" if consensus else "total distortion"
+        name = sink_distortion.format(k)
         _relative_check(name, per_root[k], sink_ref[k], sink_ref[k])
 
     error_stack = np.vstack(error_rows)
@@ -342,8 +339,8 @@ def analytic_mmse_check(
         inc=inc,
         tx=tx,
         rx=rx,
-        total=fsum(per_root[k] for k in nodes) if consensus else per_root[net.root],
-        per_root=per_root if consensus else None,
+        total=fsum(per_root.values()),
+        per_root=per_root if mode == "consensus" else None,
         link_order=tuple(links),
         incremental_error_cov=error_stack @ (system.prim_var[:, None] * error_stack.T),
         receiver_gains=receiver_gains,
@@ -455,11 +452,11 @@ def _means_and_cis(samples: Mapping[object, np.ndarray]) -> tuple[dict, dict]:
 
 def _monte_carlo(
     net: TreeNetwork,
+    view: LinkSet,
     cfg: SimulationConfig,
     encode: Callable[[Generator, range, object, np.ndarray], np.ndarray],
     scheme: str,
     references: dict,
-    consensus: bool = False,
 ) -> SimulationResult:
     """The one Monte-Carlo engine behind every ``simulate_*`` function.
 
@@ -469,19 +466,15 @@ def _monte_carlo(
     draws every observing node's data, then folds once over the links: a
     link's estimate is its source's weighted data plus the descriptions
     fed in, and ``encode(rng, trials, link, estimate)`` returns its
-    description.  Then each sink forms its estimate -- the aggregation root
-    sums the descriptions it receives, every consensus node adds them to
-    its own weighted data -- and its squared error against the target is
-    recorded.  Per-link incremental distortions, estimate variances and
+    description.  Then each sink adds the descriptions it receives to its
+    own weighted data (an aggregation root has none) and its squared error
+    against the target is recorded.  Per-link incremental distortions, estimate variances and
     the sink errors are averaged over trials with 3-sigma half-widths.
     Row ``r`` of every block is trial ``trials[r]``, drawn from that
     trial's own streams through ``rng`` (see :func:`_stream`) and reduced
     on its own, so the output does not depend on the chunk size.
     """
-    cascade = net.cascade
-    nodes = net.node_ids if consensus else net.sources
-    links = cascade.edges if consensus else net.sources
-    sinks = nodes if consensus else (net.root,)
+    nodes, links, sinks, into = view.observers, view.keys, view.sinks, view.into
     weights, n_samples = net.weights, cfg.blocklength
     rng = Generator(Philox(key=np.array([cfg.seed, 0], dtype=np.uint64)))
     chunk = max(1, _CHUNK_FLOATS // (n_samples * max(1, len(nodes) + len(links))))
@@ -500,31 +493,28 @@ def _monte_carlo(
             var[link][rows] = _row_means(estimate**2)
             return description
 
-        descriptions = cascade.fold(transmit, consensus)
+        descriptions = view.fold(transmit)
         target = sum((weights[i] * data[i] for i in nodes), np.zeros((len(trials), n_samples)))
         for k in sinks:
-            if consensus:
-                estimate = _sum_into(
-                    weights[k] * data[k], [descriptions[j, k] for j in net.neighbors[k]]
-                )
-            else:
-                estimate = _sum_into(0, [descriptions[c] for c in net.children[k]])
+            own = weights[k] * data[k] if k in data else 0
+            estimate = _sum_into(own, [descriptions[link] for link in into[k]])
             sink_sq[k][rows] = _row_means((target - estimate) ** 2)
         del data, descriptions  # free this chunk's blocks before the next chunk draws
 
     inc_mean, inc_ci = _means_and_cis(inc)
     var_mean, var_ci = _means_and_cis(var)
     total, total_ci = _means_and_cis(sink_sq)
-    if not consensus:
-        total, total_ci = total[net.root], total_ci[net.root]
+    total_key = "per_node"
+    if view.mode == "aggregation":  # the one sink's total, as a scalar
+        total, total_ci, total_key = total[net.root], total_ci[net.root], "total"
     return SimulationResult(
-        mode="consensus" if consensus else "aggregation",
+        mode=view.mode,
         scheme=scheme,
         empirical_total=total,
         per_link_incremental=inc_mean,
         per_link_estimate_variance=var_mean,
         ci_halfwidth={
-            "per_node" if consensus else "total": total_ci,
+            total_key: total_ci,
             "inc": inc_ci,
             "estimate_variance": var_ci,
         },
@@ -558,14 +548,7 @@ def simulate_aggregation(
     variances and the end-to-end distortion are averaged over trials.
     """
     sigma_hat = bounds.test_channel_variances(net, d)
-    laws = {i: test_channel_law(sigma_hat[i], float(d[i])) for i in net.sources}
-    references = {
-        "total": fsum(float(d[i]) for i in net.sources),
-        "inc": {i: float(d[i]) for i in net.sources},
-        "estimate_variance": sigma_hat,
-    }
-    encode = _test_channel(cfg, laws, {i: i for i in net.sources})
-    return _monte_carlo(net, cfg, encode, "test-channel", references)
+    return _simulate_test_channel(net, net.links(), sigma_hat, d, cfg)
 
 
 def simulate_consensus(
@@ -579,17 +562,26 @@ def simulate_consensus(
     the distortion parameters along each node's directed tree.
     """
     sigma_hat = bounds.consensus_test_channel_variances(net, d)
-    edges = directed_edges(net)
-    laws = {e: test_channel_law(sigma_hat[e], float(d[e])) for e in edges}
-    _, per_root_ref = net.cascade.consensus_sums({e: float(d[e]) for e in edges})
-    references = {
-        "per_node": per_root_ref,
-        "total": fsum(per_root_ref.values()),
-        "inc": {e: float(d[e]) for e in edges},
-        "estimate_variance": sigma_hat,
-    }
-    encode = _test_channel(cfg, laws, {e: k for k, e in enumerate(edges)})
-    return _monte_carlo(net, cfg, encode, "test-channel", references, consensus=True)
+    return _simulate_test_channel(net, net.links(True), sigma_hat, d, cfg)
+
+
+def _simulate_test_channel(
+    net: TreeNetwork, view: LinkSet, sigma_hat: Mapping, d: Mapping, cfg: SimulationConfig
+) -> SimulationResult:
+    # simulate_aggregation or simulate_consensus once the test channel has
+    # been checked.  A link's noise stream is keyed by its source node in
+    # aggregation and by its rank among the directed edges in consensus.
+    d = {link: float(d[link]) for link in view.keys}
+    laws = {link: test_channel_law(sigma_hat[link], d[link]) for link in view.keys}
+    _, per_root = view.sums(d)
+    references = {"total": fsum(per_root.values()), "inc": d, "estimate_variance": sigma_hat}
+    if view.mode == "consensus":
+        references["per_node"] = per_root
+        entity = {e: k for k, e in enumerate(view.keys)}
+    else:
+        entity = {i: i for i in view.keys}
+    encode = _test_channel(cfg, laws, entity)
+    return _monte_carlo(net, view, cfg, encode, "test-channel", references)
 
 
 def _dither_design(net: TreeNetwork, rates: Mapping[int, float]):
@@ -675,7 +667,7 @@ def simulate_dithered_baseline(
         "inc": nominal,
         "estimate_variance": variance,
     }
-    result = _monte_carlo(net, cfg, quantize, "dithered-quantizer", references)
+    result = _monte_carlo(net, net.links(), cfg, quantize, "dithered-quantizer", references)
     return replace(
         result, saturation_rate={i: float(np.mean(saturated[i])) for i in net.sources}
     )

@@ -212,3 +212,21 @@ def test_penalized_allocator_refuses_a_tree_without_links():
     sink_only = TreeNetwork(root=0, parents={}, weights={})
     with pytest.raises(InputError, match="at least one node besides the root"):
         allocation.allocate_numeric_penalized(sink_only, 0.1)
+
+
+@pytest.mark.parametrize(
+    "net, err",
+    [
+        (make_consensus_line([1.0]), "consensus needs at least two nodes"),
+        (make_line(2, [1.0, 1.0]), "consensus computations need a weight on every node"),
+    ],
+    ids=["one-node", "unweighted-root"],
+)
+@pytest.mark.parametrize(
+    "allocate", [allocation.allocate_consensus, allocation.allocate_consensus_numeric]
+)
+def test_consensus_allocators_refuse_before_solving(net, err, allocate):
+    with pytest.raises(InputError, match=err):
+        allocate(net, 0.1)
+    with pytest.raises(InfeasibleError):  # the budget is checked first
+        allocate(net, -1.0)

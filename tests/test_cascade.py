@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gausstree import bounds, network
+from gausstree import allocation, bounds, network, simulator
 from gausstree.network import (
     TreeError,
     TreeNetwork,
@@ -146,6 +146,7 @@ def test_folded_network_needs_no_cycle_collector(mode):
     try:
         net = shaped_tree(np.random.default_rng(5), "random", 40, mode)
         net.subtree_variances, net.oriented_variances, net.directed_edge_order
+        net.links().into, net.links(True).into, net.links().edge, net.links(True).edge
         alive = weakref.ref(net)
         del net
         assert alive() is None
@@ -207,3 +208,18 @@ def test_neighbors_are_built_only_when_consensus_reads_them(shape):
     bounds.consensus_report(net, {e: 1e-3 for e in directed_edges(net)}, 0.078)
     expected = reference_structure(net.root, net.parents, 40)[2]
     assert list(vars(net.cascade)["neighbors"]) == expected
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("shape", ["line", "star", "random"])
+def test_aggregation_never_builds_the_consensus_view(shape):
+    # The consensus view's oriented variances cost O(sum of squared
+    # degrees): 1.6 s on a 3001-node star, where a bounds op takes 13 ms.
+    net = shaped_tree(np.random.default_rng(23), shape, 40)
+    bounds.full_report(net, 0.01)
+    allocation.allocate_equal_incremental(net, 0.01)
+    d = {i: 1e-3 for i in net.sources}
+    simulator.simulate_aggregation(net, d, simulator.SimulationConfig(50, 3, seed=1))
+    simulator.analytic_mmse_check(net, d)
+    assert "_aggregation_links" in vars(net)
+    assert "oriented_variances" not in vars(net) and "_consensus_links" not in vars(net)

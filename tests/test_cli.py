@@ -240,6 +240,31 @@ class TestValidate:
         assert out == ""
         assert "infeasible" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds"],
+            ["allocate"],
+            ["allocate", "--method", "penalized"],
+            ["consensus-bounds"],
+            ["consensus-allocate"],
+            ["simulate"],
+            ["simulate", "--scheme", "dither"],
+            ["consensus-simulate"],
+            ["validate"],
+            ["validate", "--mode", "consensus"],
+        ],
+        ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv),
+    )
+    def test_infinite_budget_is_exit_3(self, capsys, consensus3_path, argv):
+        code, out, err = run_capture(capsys, [*argv, "--tree", consensus3_path, "--D", "inf"])
+        assert (code, out) == (3, "")
+        assert err.startswith("infeasible: ") and "inf" in err
+
+    def test_infinite_gap_sweep_budget_is_exit_3(self, capsys):
+        code, out, err = run_capture(capsys, ["gap-sweep", "--line-n", "2", "--D", "1e-3,inf"])
+        assert (code, out, err) == (3, "", "infeasible: infeasible distortion inf\n")
+
     def test_dither_scheme_runs(self, capsys, line3_path):
         code, out, _ = run_capture(
             capsys,
@@ -282,24 +307,34 @@ CONSENSUS3 = [node(0), node(1, parent=0), node(2, parent=1)]
         ("bounds", LINE3, {"1": 0.1, "2": 0.1, "7": 0.1}, "unknown node id 7"),
         ("consensus-bounds", CONSENSUS3, {"0->7": 0.1}, "unknown node id 7"),
         ("consensus-bounds", CONSENSUS3, {"0->2": 0.1}, "nodes 0 and 2 are not adjacent"),
+        ("bounds", LINE3, {"1": True, "2": 0.1}, "{links}: bad entry '1': True"),
+        ("bounds", LINE3, {"1": 0.1, "2": "0.01"}, "{links}: bad entry '2': '0.01'"),
+        ("bounds", LINE3, {"1": 10**400, "2": 0.1},
+         "{links}: entry '1' is an integer too large for a float"),
+        ("bounds", LINE3, {"1": 0.1, "01": 0.2, "2": 0.1},
+         "{links}: keys '1' and '01' name the same link"),
+        ("consensus-bounds", CONSENSUS3, {"0->1": False}, "{links}: bad entry '0->1': False"),
+        ("consensus-bounds", CONSENSUS3, {"1->0": 0.1, "01->0": 0.1},
+         "{links}: keys '1->0' and '01->0' name the same link"),
     ],
     ids=[
         "bool-id", "float-id", "negative-id", "duplicate-id", "sparse-ids", "bool-parent",
         "unknown-parent", "missing-parent", "root-with-parent", "cycle", "string-weight",
         "bool-weight", "zero-weight", "missing-weight", "unknown-link-node",
-        "unknown-edge-node", "non-adjacent-edge",
+        "unknown-edge-node", "non-adjacent-edge", "bool-link-value", "string-link-value",
+        "huge-link-value", "duplicate-link-key", "bool-edge-value", "duplicate-edge-key",
     ],
 )
 def test_single_error_inputs_exit_2_with_one_message(capsys, tmp_path, command, nodes, links, err):
     tree = tmp_path / "tree.json"
     tree.write_text(json.dumps({"root": 0, "nodes": nodes}))
     budget = ["--D", "0.1"]
+    path = tmp_path / "links.json"
     if links is not None:
-        path = tmp_path / "links.json"
         path.write_text(json.dumps(links))
         budget = ["--d-per-link", str(path)]
     code, out, stderr = run_capture(capsys, [command, "--tree", str(tree), *budget])
-    assert (code, out, stderr) == (2, "", f"error: {err}\n")
+    assert (code, out, stderr) == (2, "", f"error: {err.format(links=path)}\n")
 
 
 SINK_ONLY = {"root": 0, "nodes": []}
