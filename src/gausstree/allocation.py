@@ -213,19 +213,21 @@ def allocate_consensus(
     inc_vec = total_distortion / (len(edges) * mult)
     allocation = _consensus_allocation("consensus-kkt", net, edges, inc_vec)
     if cross_validate:
-        numeric = allocate_consensus_numeric(net, total_distortion)
-        if abs(numeric.sum_rate_bits - allocation.sum_rate_bits) > 1e-6:
-            raise ConsistencyError(
-                "closed-form and numeric consensus allocations disagree by "
-                f"{abs(numeric.sum_rate_bits - allocation.sum_rate_bits):g} bits"
-            )
-        for e in edges:
-            a, b = allocation.profile.inc[e], numeric.profile.inc[e]
-            if abs(a - b) > 1e-8 * a:
-                raise ConsistencyError(
-                    f"edge {e}: closed-form inc {a:g} vs numeric {b:g}"
-                )
+        _cross_check(allocation, allocate_consensus_numeric(net, total_distortion))
     return allocation
+
+
+def _cross_check(closed: RateAllocation, numeric: RateAllocation) -> None:
+    # Closed form and Newton solve agree to 1e-6 bits and 1e-8 relative per edge.
+    gap = abs(numeric.sum_rate_bits - closed.sum_rate_bits)
+    if gap > 1e-6:
+        raise ConsistencyError(
+            f"closed-form and numeric consensus allocations disagree by {gap:g} bits"
+        )
+    for e, a in closed.profile.inc.items():
+        b = numeric.profile.inc[e]
+        if abs(a - b) > 1e-8 * a:
+            raise ConsistencyError(f"edge {e}: closed-form inc {a:g} vs numeric {b:g}")
 
 
 def allocate_consensus_numeric(net: TreeNetwork, total_distortion: float) -> RateAllocation:
@@ -285,22 +287,15 @@ def rates_for_profile(
     if not isinstance(profile, (ConsensusProfile, DistortionProfile)):
         raise InputError(f"unsupported profile type {type(profile).__name__}")
     view = net.links(isinstance(profile, ConsensusProfile))
-    rates = {}
-    warnings = []
-    for key in view.keys:
-        inc, s2 = profile.inc[key], view.carried[key]
-        if inc >= s2:
-            rates[key] = 0.0
-            warnings.append(
-                f"link {key}: incremental distortion {inc:g} reaches the carried "
-                f"variance {s2:g}; rate clipped to 0"
-            )
-        else:
-            rates[key] = 0.5 * log2(s2 / inc)
+    clipped = bounds._regime_warnings(view, profile.inc, "rate clipped to 0")
+    rates = {
+        key: 0.0 if key in clipped else 0.5 * log2(view.carried[key] / profile.inc[key])
+        for key in view.keys
+    }
     return RateAllocation(
         method="profile-rates",
         per_link_rate_bits=rates,
         profile=profile,
-        sum_rate_bits=fsum(rates[k] for k in view.keys),
-        warnings=tuple(warnings),
+        sum_rate_bits=fsum(rates.values()),
+        warnings=tuple(clipped.values()),
     )

@@ -10,10 +10,11 @@ with its line-network asymptote ``0.5 * log2(n!)``.
 Consensus mode evaluates the same per-link formulas once per directed
 edge, with oriented subtrees replacing rooted subtrees and per-root
 distortions summing the incremental distortions along each directed
-tree.  One private loop per quantity (derived distortions, penalty,
-outer bound, test-channel recursion, inner bound) runs over one mode's
-:class:`~gausstree.network.LinkSet`; the public consensus functions
-only check that every node is weighted and validate the map.
+tree.  One private loop per log term (the outer bound, which the gap
+reuses with ``rx``, and the link rates, which the cut-set bound reuses
+with ``rx``) runs over one mode's :class:`~gausstree.network.LinkSet`,
+whose ``variances`` is the test-channel recursion; the public consensus
+functions only check that every node is weighted and validate the map.
 
 The accumulation sums are the view's exact sums, O(n) in both modes:
 ``tx`` equals ``math.fsum`` over the strictly upstream links and
@@ -134,9 +135,8 @@ def derive_distortions(net: TreeNetwork, inc: Mapping[int, float]) -> Distortion
 
 def _derive(view: LinkSet, inc: dict) -> DistortionProfile | ConsensusProfile:
     # derive_distortions or consensus_derive for a validated map.
-    tx, per_root = view.sums(inc)
+    tx, per_root, total = view.sums(inc)
     rx = {link: tx[link] + inc[link] for link in view.keys}
-    total = fsum(per_root.values())
     if view.mode == "consensus":
         return ConsensusProfile(inc=inc, tx=tx, rx=rx, per_root=per_root, total=total)
     return DistortionProfile(inc=inc, tx=tx, rx=rx, total=total)
@@ -218,14 +218,29 @@ def outer_bound_incremental(net: TreeNetwork, profile: DistortionProfile) -> Out
     return _outer_bound(net.links(), profile)
 
 
-def _outer_bound(view: LinkSet, profile) -> OuterBound:
-    per_link = {}
+def _outer_bound(view: LinkSet, profile, variance: Mapping | None = None) -> OuterBound:
+    # 0.5 * (log2(variance / inc) - penalty(tx)) per link; gap_report passes rx.
+    variance = view.carried if variance is None else variance
+    inc, tx = profile.inc, profile.tx
+    try:
+        per_link = {
+            link: 0.5 * (log2(variance[link] / inc[link]) - _link_penalty(view, link, tx[link]))
+            for link in view.keys
+        }
+    except ValueError:
+        _refuse_underflow(view, variance, inc)
+        raise
+    return OuterBound(fsum(per_link.values()), per_link)
+
+
+def _refuse_underflow(view: LinkSet, num: Mapping, den: Mapping) -> None:
+    # A log2 term failed: name the first link whose quotient underflows to 0.
     for link in view.keys:
-        per_link[link] = 0.5 * (
-            log2(view.carried[link] / profile.inc[link])
-            - _link_penalty(view, link, profile.tx[link])
-        )
-    return OuterBound(fsum(per_link[link] for link in view.keys), per_link)
+        if num[link] / den[link] == 0.0:
+            raise InfeasibleError(
+                f"link {_link_label(link)}: the ratio {num[link]:g} / {den[link]:g} "
+                "underflows to 0, so its log term is undefined"
+            )
 
 
 def outer_bound_closed_form(net: TreeNetwork, total_distortion: float) -> float:
@@ -235,14 +250,12 @@ def outer_bound_closed_form(net: TreeNetwork, total_distortion: float) -> float:
     _require_links(net)
     view = net.links()
     penalty = fsum(_link_penalty(view, i, total_distortion) for i in view.keys)
-    return _equal_split_rate(net, total_distortion / len(net.sources)) - 0.5 * penalty
+    return _equal_split_rate(view, total_distortion / len(view.keys)) - 0.5 * penalty
 
 
 def cutset_bound(net: TreeNetwork, profile: DistortionProfile) -> float:
     """Cut-set outer bound ``0.5 * sum_i log2(s2_i / rx_i)``."""
-    return fsum(
-        0.5 * log2(net.subtree_variances[i] / profile.rx[i]) for i in net.sources
-    )
+    return fsum(_link_rates(net.links(), profile.rx).values())
 
 
 @dataclass(frozen=True)
@@ -259,14 +272,8 @@ def gap_report(net: TreeNetwork, profile: DistortionProfile) -> GapReport:
     Each link contributes ``0.5 * log2(rx_i / inc_i) - 0.5 * penalty_i(tx_i)``;
     leaves contribute exactly zero.
     """
-    view = net.links()
-    per_link = {}
-    for i in view.keys:
-        per_link[i] = 0.5 * (
-            log2(profile.rx[i] / profile.inc[i])
-            - _link_penalty(view, i, profile.tx[i])
-        )
-    return GapReport(fsum(per_link[i] for i in view.keys), per_link)
+    gap = _outer_bound(net.links(), profile, profile.rx)
+    return GapReport(gap.total_bits, gap.per_link_bits)
 
 
 def line_gap_asymptote(n: int) -> float:
@@ -312,14 +319,11 @@ def test_channel_variances(net: TreeNetwork, d: Mapping[int, float]) -> dict[int
 
 
 def _test_channel_variances(view: LinkSet, d: Mapping) -> dict:
-    # One fold: a link's estimate variance is w_src^2 plus the description
-    # variances sigma_hat - d of the links that feed it.
+    # A link passes on the description variance sigma_hat - d.
     what, ceiling = _LINK_WORDS[view.mode]
-    carried, own = view.carried, view.own
-    sigma_hat: dict = {}
+    carried = view.carried
 
-    def describe(link, src: int, fed: list) -> float:
-        var = fsum([own[link], *fed])
+    def describe(link, var: float) -> float:
         if d[link] > var:
             raise InfeasibleError(
                 f"{what} {link}: distortion {d[link]:g} exceeds test-channel variance {var:g}"
@@ -329,11 +333,9 @@ def _test_channel_variances(view: LinkSet, d: Mapping) -> dict:
             raise ConsistencyError(
                 f"{what} {link}: test-channel variance {var:g} exceeds {ceiling} variance {s2:g}"
             )
-        sigma_hat[link] = var
         return var - d[link]
 
-    view.fold(describe)
-    return sigma_hat
+    return view.variances(describe)
 
 
 @dataclass(frozen=True)
@@ -363,8 +365,7 @@ def _inner_bound(view: LinkSet, d: Mapping, distortion: float | None = None) -> 
     sigma_hat = _test_channel_variances(view, d)
     per_link = _link_rates(view, d)
     if distortion is None:
-        _, per_root = view.sums(d)
-        distortion = fsum(per_root.values())
+        distortion = view.sums(d)[2]
     return InnerBound(
         rate_bits=fsum(per_link[link] for link in view.keys),
         distortion=distortion,
@@ -375,7 +376,12 @@ def _inner_bound(view: LinkSet, d: Mapping, distortion: float | None = None) -> 
 
 def _link_rates(view: LinkSet, inc: Mapping) -> dict:
     # The Gaussian rate 0.5 * log2(carried / inc) of every link, raw.
-    return {link: 0.5 * log2(view.carried[link] / inc[link]) for link in view.keys}
+    carried = view.carried
+    try:
+        return {link: 0.5 * log2(carried[link] / inc[link]) for link in view.keys}
+    except ValueError:
+        _refuse_underflow(view, carried, inc)
+        raise
 
 
 def inner_bound_minimized(net: TreeNetwork, total_distortion: float) -> float:
@@ -385,12 +391,12 @@ def inner_bound_minimized(net: TreeNetwork, total_distortion: float) -> float:
     _require_links(net)
     share = total_distortion / len(net.sources)
     test_channel_variances(net, {i: share for i in net.sources})
-    return _equal_split_rate(net, share)
+    return _equal_split_rate(net.links(), share)
 
 
-def _equal_split_rate(net: TreeNetwork, share: float) -> float:
-    log_product = fsum(log2(net.subtree_variances[i]) for i in net.sources)
-    return 0.5 * (log_product - len(net.sources) * log2(share))
+def _equal_split_rate(view: LinkSet, share: float) -> float:
+    log_product = fsum(log2(view.carried[i]) for i in view.keys)
+    return 0.5 * (log_product - len(view.keys) * log2(share))
 
 
 def consensus_test_channel_variances(
@@ -511,15 +517,17 @@ def _link_label(key) -> str:
     return str(int(key))
 
 
-def _regime_warnings(view: LinkSet, inc: Mapping) -> tuple[str, ...]:
-    warnings = []
-    for key in view.keys:
-        if inc[key] >= view.carried[key]:
-            warnings.append(
-                f"link {_link_label(key)}: incremental distortion {inc[key]:g} reaches "
-                f"the carried variance {view.carried[key]:g}; bound terms are non-positive"
-            )
-    return tuple(warnings)
+def _regime_warnings(
+    view: LinkSet, inc: Mapping, consequence: str = "bound terms are non-positive"
+) -> dict[object, str]:
+    # One warning per link whose incremental distortion reaches its carried variance.
+    carried = view.carried
+    return {
+        key: f"link {_link_label(key)}: incremental distortion {inc[key]:g} reaches "
+        f"the carried variance {carried[key]:g}; {consequence}"
+        for key in view.keys
+        if inc[key] >= carried[key]
+    }
 
 
 def full_report(
@@ -543,16 +551,16 @@ def full_report(
         inc = {i: total_distortion / n for i in net.sources}
     # The one validation of the map (an equal split's D/n can underflow to 0).
     inc = normalize_link_map(net, inc, "incremental distortions")
-    if not equal_split:
-        total_distortion = fsum(inc.values())
     view = net.links()
     profile = _derive(view, inc)
+    if not equal_split:
+        total_distortion = profile.total
     outer = _outer_bound(view, profile)
     cut = cutset_bound(net, profile)
     closed = outer_bound_closed_form(net, total_distortion)
     inner = _inner_bound(view, inc, profile.total)
     if equal_split:  # _inner_bound has just checked this very split
-        minimized = _equal_split_rate(net, total_distortion / len(net.sources))
+        minimized = _equal_split_rate(view, total_distortion / len(view.keys))
     else:
         minimized = inner_bound_minimized(net, total_distortion)
     gap = gap_report(net, profile)
@@ -567,7 +575,7 @@ def full_report(
         gap_inner_outer_bits=inner.rate_bits - outer.total_bits,
         gap_incremental_cutset_bits=gap.delta_r_bits,
         per_link_rates_bits=inner.per_link_rate_bits,
-        regime_warnings=_regime_warnings(view, inc),
+        regime_warnings=tuple(_regime_warnings(view, inc).values()),
     )
 
 
@@ -595,5 +603,5 @@ def _consensus_report(net: TreeNetwork, profile: ConsensusProfile, total: float)
         gap_incremental_cutset_bits=None,
         per_link_rates_bits=inner.per_link_rate_bits,
         classical_comparator_bits=classical_consensus_comparator_bits(net.n_nodes, total),
-        regime_warnings=_regime_warnings(view, profile.inc),
+        regime_warnings=tuple(_regime_warnings(view, profile.inc).values()),
     )

@@ -269,6 +269,7 @@ def _cmd_consensus_allocate(args) -> int:
         raise InputError("--D is required")
     kkt = allocation.allocate_consensus(net, args.D, cross_validate=False)
     numeric = allocation.allocate_consensus_numeric(net, args.D)
+    allocation._cross_check(kkt, numeric)
     payload = kkt.to_json_dict(net)
     # The uniform per-edge split is shown alongside the solution of the
     # multiplicity-weighted program; they coincide only when every edge
@@ -312,12 +313,11 @@ def _default_d(view: LinkSet, fraction: float = 0.1) -> dict:
     """Every link describes ``fraction`` of its test-channel variance."""
     d: dict = {}
 
-    def describe(link, src: int, fed: list) -> float:
-        var = view.own[link] + sum(fed)
+    def describe(link, var: float) -> float:
         d[link] = fraction * var
         return var - d[link]
 
-    view.fold(describe)
+    view.variances(describe)
     return d
 
 

@@ -25,23 +25,21 @@ order, and every oriented member set as one slice or the complement of
 one.  The link ``b -> a`` is fed by the links ``k -> b`` from the other
 neighbours ``k`` of ``b``.
 
-Every per-link recursion of the package -- subtree and oriented
-variances, test-channel variances, quantizer designs, the oracle's
-linear rows and each Monte-Carlo chunk of trials -- is one call of
-:meth:`LinkCascade.fold`.  It evaluates ``step(link, src, fed)`` once per
-link, after every link that feeds it: in aggregation over the uplinks
-``i -> parent(i)`` (keyed by ``i``) leaves-first, in consensus over all
-directed links in :attr:`LinkCascade.order`.  ``fed`` holds the results of
-the feeding links ascending by their source node, which is the order
-``children[i]`` and ``neighbors[src]`` list them in.  The visiting order is
-part of the contract: steps that draw random numbers or raise on the
-first bad link depend on it, and ``step`` does its own arithmetic, so
-every recursion keeps its own rounding.
-
-:meth:`TreeNetwork.links` is the one place the mode is decided: it
-returns the mode's :class:`LinkSet`, which every bound, allocator, oracle
-and simulator loop reads.  Each view is built on first use, because the
-consensus view's oriented variances cost O(sum of squared degrees).
+:meth:`TreeNetwork.links` is the one place the mode is decided (the
+cascade is mode-free): it returns the mode's :class:`LinkSet`, built on
+first use, and every per-link recursion is one call of its
+:meth:`~LinkSet.fold`.
+That evaluates ``step(link, src, fed)`` once per link, after every link
+that feeds it: in aggregation over the uplinks ``i -> parent(i)`` (keyed
+by ``i``) leaves-first, in consensus over all directed links in
+:attr:`LinkCascade.order`; ``fed`` holds the feeding links' results
+ascending by source node.  Steps that draw random numbers or raise on
+the first bad link depend on this order, and each step does its own
+arithmetic.  The sequential test-channel recursion
+:meth:`LinkSet.variances` is the one fold that adds: a link's variance is
+its source's squared weight plus ``pass_on(k, variance_k)`` of each
+feeding link ``k``.  The carried, test-channel and quantizer-design
+variances and the CLI's default distortions are all calls of it.
 
 :meth:`LinkCascade.upstream_sums` and :meth:`LinkCascade.consensus_sums`
 sum values over the links in O(n) without a step per link: leaves-first
@@ -54,7 +52,7 @@ denominator; integer sums and the rerooting subtraction lose nothing,
 and the one division ``num / 2**k`` per result is correctly rounded.
 Each result is therefore bit-identical to :func:`math.fsum` over the
 members it sums, and a sum too large for a double raises
-``OverflowError`` as ``fsum`` does.
+``OverflowError`` as ``fsum`` does (an ``InfeasibleError`` from a view).
 
 Tree documents are UTF-8 JSON::
 
@@ -76,7 +74,7 @@ from functools import cached_property
 from math import fsum
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .errors import InputError
+from .errors import InfeasibleError, InputError
 
 __all__ = [
     "MAX_NODES",
@@ -97,10 +95,9 @@ __all__ = [
 ]
 
 #: Hard cap on network size.  The link cascade and the exact distortion
-#: sums are O(n) plus one O(n log n) sort; the consensus folds, which visit
-#: every neighbour of a link's source (oriented variances, consensus
-#: test-channel variances), cost O(sum of squared degrees), quadratic on a
-#: star; the exact oracle is dense.
+#: sums are O(n) plus one O(n log n) sort; a consensus fold, so every
+#: consensus variance recursion, visits each neighbour of a link's source:
+#: O(sum of squared degrees), quadratic on a star.  The exact oracle is dense.
 MAX_NODES = 10_000
 
 
@@ -262,22 +259,6 @@ class LinkCascade:
         end = self.position[dst] + 1
         return self.postorder[: end - self.subtree_size[dst]] + self.postorder[end:]
 
-    def fold(self, step: Callable[[object, int, list], object], consensus: bool = False) -> dict:
-        """``step(link, src, fed)`` once per link, every link after its
-        feeding links (see the module docstring); returns the results keyed
-        by link in visiting order."""
-        out: dict = {}
-        if consensus:
-            neighbors = self.neighbors
-            for link in self.order:
-                src, dst = link
-                out[link] = step(link, src, [out[k, src] for k in neighbors[src] if k != dst])
-        else:
-            children = self.children
-            for i in self.postorder[:-1]:
-                out[i] = step(i, i, [out[c] for c in children[i]])
-        return out
-
     def upstream_sums(self, values: Mapping[int, float]) -> dict[int, float]:
         """``values`` summed over the strict subtree of every non-root
         node, keyed by ascending node id; each sum equals ``fsum`` over
@@ -328,18 +309,23 @@ class LinkCascade:
 class LinkSet:
     """One mode's links: the ``keys`` ascending (the non-root node ids of
     the uplinks in aggregation, the :class:`DirectedEdge` s in consensus),
-    per key the variance it carries (``carried``) and the squared weight of
-    its source (``own``), the ``observers`` with data and the ``sinks``
-    that estimate the whole sum.  Aggregation is consensus restricted to
-    the directed tree towards its one sink, the root."""
+    per key the squared weight of its source (``own``), the ``observers``
+    with data and the ``sinks`` that estimate the whole sum.  Aggregation
+    is consensus restricted to the directed tree towards its one sink, the
+    root.  Every per-link recursion is a :meth:`fold` over the view."""
 
     mode: str
     cascade: LinkCascade = field(repr=False)
     keys: tuple
-    carried: Mapping = field(repr=False)
     own: Mapping = field(repr=False)
     observers: tuple[int, ...]
     sinks: tuple[int, ...]
+    #: The partial-sum variance each link carries (every link passes on all),
+    #: a plain attribute because the bound loops read it once per link.
+    carried: dict = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "carried", self.variances(lambda link, var: var))
 
     @cached_property
     def edge(self) -> dict:
@@ -359,16 +345,47 @@ class LinkSet:
         return self.cascade.children
 
     def fold(self, step: Callable[[object, int, list], object]) -> dict:
-        """:meth:`LinkCascade.fold` over this mode's links."""
-        return self.cascade.fold(step, self.mode == "consensus")
-
-    def sums(self, values: Mapping) -> tuple[dict, dict[int, float]]:
-        """Exact ``(tx, per_root)``: ``values`` summed over the links strictly
-        upstream of each key and over every link towards each sink."""
+        """``step(link, src, fed)`` once per link, every link after its
+        feeding links (see the module docstring); returns the results keyed
+        by link in visiting order."""
+        out: dict = {}
+        cascade = self.cascade
         if self.mode == "consensus":
-            return self.cascade.consensus_sums(values)
-        total = fsum(values[i] for i in self.keys)
-        return self.cascade.upstream_sums(values), {self.sinks[0]: total}
+            neighbors = cascade.neighbors
+            for link in cascade.order:
+                src, dst = link
+                out[link] = step(link, src, [out[k, src] for k in neighbors[src] if k != dst])
+        else:
+            children = cascade.children
+            for i in cascade.postorder[:-1]:
+                out[i] = step(i, i, [out[c] for c in children[i]])
+        return out
+
+    def variances(self, pass_on: Callable[[object, float], float]) -> dict:
+        """The sequential test-channel recursion: every link's variance is
+        ``own`` plus ``pass_on(k, variance_k)`` of each feeding link ``k``,
+        summed by :func:`math.fsum`; ``pass_on`` may raise to refuse a link."""
+        own, var = self.own, {}
+
+        def step(link, src: int, fed: list) -> float:
+            var[link] = v = fsum([own[link], *fed])
+            return pass_on(link, v)
+
+        self.fold(step)
+        return var
+
+    def sums(self, values: Mapping) -> tuple[dict, dict[int, float], float]:
+        """Exact ``(tx, per_root, total)``: ``values`` summed over the links
+        strictly upstream of each key, towards each sink, and in all; a sum
+        beyond the float range raises :class:`~gausstree.errors.InfeasibleError`."""
+        try:
+            if self.mode == "consensus":
+                tx, per_root = self.cascade.consensus_sums(values)
+                return tx, per_root, fsum(per_root.values())
+            total = fsum(values[i] for i in self.keys)
+            return self.cascade.upstream_sums(values), {self.sinks[0]: total}, total
+        except OverflowError:
+            raise InfeasibleError("the distortions summed along the links overflow") from None
 
 
 @dataclass(frozen=True)
@@ -495,16 +512,11 @@ class TreeNetwork:
         self._require_node(i)
         return frozenset(self.cascade.subtree(i))
 
-    def _own_plus(self, link, src: int, fed: list) -> float:
-        # w_src^2 plus the variances fed in; fsum keeps the sums exact.
-        return fsum([self.weights.get(src, 0.0) ** 2, *fed])
-
     @cached_property
     def subtree_variances(self) -> dict[int, float]:
         """Partial-sum variance of every subtree, the root's last."""
-        var = self.cascade.fold(self._own_plus)
-        root = self.root
-        var[root] = self._own_plus(root, root, [var[c] for c in self.children[root]])
+        var, root = dict(self.links().carried), self.root
+        var[root] = fsum([self.weights.get(root, 0.0) ** 2, *(var[c] for c in self.children[root])])
         return var
 
     def _require_adjacent(self, edge: tuple[int, int]) -> DirectedEdge:
@@ -525,9 +537,10 @@ class TreeNetwork:
         """Component of ``src`` once the undirected edge {src, dst} is cut."""
         return frozenset(self.cascade.members(self._require_adjacent(edge)))
 
-    @cached_property
+    @property
     def oriented_variances(self) -> dict[DirectedEdge, float]:
-        return self.cascade.fold(self._own_plus, consensus=True)
+        """Partial-sum variance of every oriented subtree, keyed by link."""
+        return self.links(True).carried
 
     def links(self, consensus: bool = False) -> LinkSet:
         """The aggregation or, with ``consensus``, the consensus
@@ -537,15 +550,13 @@ class TreeNetwork:
     @cached_property
     def _aggregation_links(self) -> LinkSet:
         sources, own = self.sources, {i: self.weights[i] ** 2 for i in self.sources}
-        return LinkSet(
-            "aggregation", self.cascade, sources, self.subtree_variances, own, sources, (self.root,)
-        )
+        return LinkSet("aggregation", self.cascade, sources, own, sources, (self.root,))
 
     @cached_property
     def _consensus_links(self) -> LinkSet:
         edges, nodes = self.cascade.edges, self.node_ids
         own = {e: self.weights.get(e.src, 0.0) ** 2 for e in edges}
-        return LinkSet("consensus", self.cascade, edges, self.oriented_variances, own, nodes, nodes)
+        return LinkSet("consensus", self.cascade, edges, own, nodes, nodes)
 
     @property
     def directed_edge_order(self) -> tuple[DirectedEdge, ...]:

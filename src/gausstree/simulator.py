@@ -259,7 +259,7 @@ def analytic_mmse_check(
     link_name, sink_name, sink_distortion = _ORACLE_NAMES[mode]
     d = {link: float(d[link]) for link in links}
     laws = {link: test_channel_law(sigma_hat[link], d[link]) for link in links}
-    downstream, sink_ref = view.sums(d)
+    downstream, sink_ref, _ = view.sums(d)
 
     # Primitives: one unit-variance source per observing node, then one
     # test-channel noise per link.
@@ -413,25 +413,10 @@ class SimulationResult:
                 rows.append(
                     ["node", k, self.empirical_total[k], ci_nodes.get(k, ""), ref_nodes.get(k, "")]
                 )
-            rows.append(
-                [
-                    "total",
-                    "",
-                    fsum(self.empirical_total.values()),
-                    "",
-                    self.references.get("total", ""),
-                ]
-            )
+            total, ci_total = fsum(self.empirical_total.values()), ""
         else:
-            rows.append(
-                [
-                    "total",
-                    "",
-                    self.empirical_total,
-                    self.ci_halfwidth.get("total", ""),
-                    self.references.get("total", ""),
-                ]
-            )
+            total, ci_total = self.empirical_total, self.ci_halfwidth.get("total", "")
+        rows.append(["total", "", total, ci_total, self.references.get("total", "")])
         return rows
 
 
@@ -573,8 +558,8 @@ def _simulate_test_channel(
     # aggregation and by its rank among the directed edges in consensus.
     d = {link: float(d[link]) for link in view.keys}
     laws = {link: test_channel_law(sigma_hat[link], d[link]) for link in view.keys}
-    _, per_root = view.sums(d)
-    references = {"total": fsum(per_root.values()), "inc": d, "estimate_variance": sigma_hat}
+    _, per_root, total = view.sums(d)
+    references = {"total": total, "inc": d, "estimate_variance": sigma_hat}
     if view.mode == "consensus":
         references["per_node"] = per_root
         entity = {e: k for k, e in enumerate(view.keys)}
@@ -590,22 +575,19 @@ def _dither_design(net: TreeNetwork, rates: Mapping[int, float]):
     Quantization noise adds ``step^2/12`` per described link, so the
     design variance recursion grows (rather than shrinks) downstream.
     """
-    variance: dict[int, float] = {}
     step: dict[int, float] = {}
     clip: dict[int, float] = {}
 
-    def design(node: int, src: int, fed: list) -> float:
+    def design(node: int, variance: float) -> float:
         rate = float(rates[node])
         if not (rate >= 0.0 and math.isfinite(rate)):
             raise InputError(f"link {node}: rate must be non-negative, got {rate!r}")
-        variance[node] = fsum([net.weights[node] ** 2, *fed])
-        clip[node] = _DITHER_CLIP_SIGMAS * math.sqrt(variance[node])
+        clip[node] = _DITHER_CLIP_SIGMAS * math.sqrt(variance)
         step[node] = 2.0 * clip[node] / 2.0**rate if rate > 0.0 else 0.0
         # A rate-0 link sends nothing, so it feeds no variance downstream.
-        return variance[node] + step[node] ** 2 / 12.0 if rate > 0.0 else 0.0
+        return variance + step[node] ** 2 / 12.0 if rate > 0.0 else 0.0
 
-    net.cascade.fold(design)
-    return variance, step, clip
+    return net.links().variances(design), step, clip
 
 
 def matched_test_channel_distortions(
@@ -615,12 +597,11 @@ def matched_test_channel_distortions(
     ``d_i = sigma_hat_i^2 * 4**(-R_i)`` along the variance recursion."""
     d: dict[int, float] = {}
 
-    def describe(node: int, src: int, fed: list) -> float:
-        sigma_hat = fsum([net.weights[node] ** 2, *fed])
+    def describe(node: int, sigma_hat: float) -> float:
         d[node] = sigma_hat * 4.0 ** (-float(rates[node]))
         return sigma_hat - d[node]
 
-    net.cascade.fold(describe)
+    net.links().variances(describe)
     return d
 
 

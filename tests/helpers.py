@@ -59,12 +59,11 @@ def fixed_fraction_d(net: TreeNetwork, fraction: float, consensus: bool = False)
 def _fractions(draw, net: TreeNetwork, consensus: bool) -> dict:
     d: dict = {}
 
-    def describe(link, src: int, fed: list) -> float:
-        var = net.weight(src) ** 2 + sum(fed)
+    def describe(link, var: float) -> float:
         d[link] = draw() * var
         return var - d[link]
 
-    net.cascade.fold(describe, consensus)
+    net.links(consensus).variances(describe)
     return d
 
 

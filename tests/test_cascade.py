@@ -20,7 +20,7 @@ from gausstree.network import (
     make_line,
 )
 
-from helpers import bfs_side, shaped_tree
+from helpers import bfs_side, fixed_fraction_d, shaped_tree
 
 shapes = st.sampled_from(["line", "star", "random"])
 sizes = st.integers(2, 300)
@@ -127,16 +127,31 @@ def test_fold_visits_each_link_once_after_its_feeding_links(shape, n, seed, cons
             assert fed == sorted(net.children[link])
         return link
 
-    out = net.cascade.fold(step, consensus)
+    out = net.links(consensus).fold(step)
     assert tuple(seen) == (net.directed_edge_order if consensus else net.leaves_first[:-1])
     assert list(out.items()) == [(link, link) for link in seen]
 
 
+@given(shape=shapes, n=sizes, seed=seeds, fraction=st.floats(0.01, 0.99))
+def test_aggregation_is_consensus_restricted_to_the_uplinks(shape, n, seed, fraction):
+    net = shaped_tree(np.random.default_rng(seed), shape, n, "consensus")
+    agg, cons = net.links(), net.links(True)
+    d = fixed_fraction_d(net, fraction, consensus=True)
+    uplink = agg.edge
+    assert {i: cons.carried[uplink[i]] for i in agg.keys} == agg.carried
+    agg_d = {i: d[uplink[i]] for i in agg.keys}
+    up = agg.variances(lambda i, var: var - agg_d[i])
+    both = cons.variances(lambda e, var: var - d[e])
+    assert {i: both[uplink[i]] for i in agg.keys} == up
+
+
 def test_cascade_outlives_its_network():
-    cascade = make_line(3, [1.0, 1.0, 1.0]).cascade  # the network is gone at once
-    up = cascade.fold(lambda link, src, fed: 1 + sum(fed))
+    net = make_line(3, [1.0, 1.0, 1.0])
+    views = net.links(), net.links(True)
+    del net  # the views hold the cascade, not the network
+    up = views[0].fold(lambda link, src, fed: 1 + sum(fed))
     assert up == {3: 1, 2: 2, 1: 3}
-    down = cascade.fold(lambda link, src, fed: 1 + sum(fed), consensus=True)
+    down = views[1].fold(lambda link, src, fed: 1 + sum(fed))
     assert down == {(3, 2): 1, (0, 1): 1, (2, 1): 2, (1, 2): 2, (1, 0): 3, (2, 3): 3}
 
 
@@ -221,5 +236,4 @@ def test_aggregation_never_builds_the_consensus_view(shape):
     d = {i: 1e-3 for i in net.sources}
     simulator.simulate_aggregation(net, d, simulator.SimulationConfig(50, 3, seed=1))
     simulator.analytic_mmse_check(net, d)
-    assert "_aggregation_links" in vars(net)
-    assert "oriented_variances" not in vars(net) and "_consensus_links" not in vars(net)
+    assert "_aggregation_links" in vars(net) and "_consensus_links" not in vars(net)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -416,3 +417,47 @@ def test_consensus_bounds_folds_the_profile_it_holds(capsys, tmp_path, monkeypat
     )
     code, out, _ = run_capture(capsys, ["consensus-bounds", "--tree", str(tree), *budget])
     assert (code, out, len(calls)) == (0, expected, expected_calls)
+
+
+BIG_EDGES = {"0->1": 1e308, "1->0": 1e308, "1->2": 1e308, "2->1": 1e308}
+OVERFLOW = "the distortions summed along the links overflow"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "command, nodes, links, err",
+    [
+        ("consensus-bounds", CONSENSUS3, BIG_EDGES, OVERFLOW),
+        ("consensus-bounds", CONSENSUS3[:2], {"0->1": 1e308, "1->0": 1e308}, OVERFLOW),
+        ("bounds", LINE3, {"1": 1e308, "2": 1e308}, OVERFLOW),
+        ("bounds", [node(1, 1e-150, parent=0)], {"1": 1e300},
+         "link 1: the ratio 1e-300 / 1e+300 underflows to 0, so its log term is undefined"),
+    ],
+    ids=[
+        "consensus-sum-overflows", "consensus-total-overflows", "aggregation-sum-overflows",
+        "log-ratio-underflows",
+    ],
+)
+def test_per_link_maps_beyond_the_float_range_exit_3(capsys, tmp_path, command, nodes, links, err,
+                                                     fmt):
+    tree, path = tmp_path / "tree.json", tmp_path / "links.json"
+    tree.write_text(json.dumps({"root": 0, "nodes": nodes}))
+    path.write_text(json.dumps(links))
+    argv = [command, "--tree", str(tree), "--d-per-link", str(path), "--format", fmt]
+    assert run_capture(capsys, argv) == (3, "", f"infeasible: {err}\n")
+
+
+def test_consensus_allocate_cross_checks_the_numeric_solve(capsys, consensus3_path, monkeypatch):
+    solve = allocation.allocate_consensus_numeric
+
+    def skewed(net, total_distortion):  # every per-edge inc off by 1e-6 relative
+        result = solve(net, total_distortion)
+        inc = {e: v * (1 + 1e-6) for e, v in result.profile.inc.items()}
+        return dataclasses.replace(result, profile=dataclasses.replace(result.profile, inc=inc))
+
+    argv = ["consensus-allocate", "--tree", consensus3_path, "--D", "0.1"]
+    assert run_capture(capsys, argv)[0] == 0
+    monkeypatch.setattr(allocation, "allocate_consensus_numeric", skewed)
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("internal consistency failure: edge 0->1: closed-form inc")
