@@ -7,25 +7,26 @@ minimizing the full outer-bound objective; it guarantees never to return
 an objective worse than equal split and makes no optimality claim.
 
 Consensus allocation solves ``min 0.5 * sum_e log2(s2_e / inc_e)`` over
-directed edges subject to ``sum_e multiplicity_e * inc_e <= D``.  The
+directed edges subject to ``sum_e multiplicity_e * inc_e = D``.  The
 stationarity conditions give the closed form
 ``inc_e = D / (E_d * multiplicity_e)`` with ``E_d = 2(n-1)`` directed
-edges, so that ``multiplicity_e * inc_e`` is the same on every edge; an
-independent equality-constrained Newton solver cross-validates it.
+edges, so that ``multiplicity_e * inc_e`` is the same on every edge.  The
+program is convex, so its KKT conditions certify the closed form in O(n);
+a Newton solver that stops once they hold is the independent reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import fsum, log2
+from math import fsum
 
 import numpy as np
 
 from . import bounds
 from .bounds import ConsensusProfile, DistortionProfile
 from .errors import ConsistencyError, InfeasibleError, InputError
-from .network import DirectedEdge, TreeNetwork, directed_edges
+from .network import LinkSet, TreeNetwork, directed_edges, _require_positive
 
 __all__ = [
     "RateAllocation",
@@ -36,7 +37,11 @@ __all__ = [
     "rates_for_profile",
 ]
 
-_LN2 = math.log(2.0)
+#: Unit roundoff, and the most one rounding can lose in the subnormal range.
+_U, _TINY = 2.0**-53, 2.0**-1074
+
+#: Newton steps before the numeric consensus solve gives up with a warning.
+_NEWTON_STEPS = 120
 
 #: Cap on coordinate updates for the penalized numeric allocator.
 _MAX_UPDATES = 100_000
@@ -107,16 +112,9 @@ def allocate_equal_incremental(net: TreeNetwork, total_distortion: float) -> Rat
     total_distortion = _check_budget(total_distortion)
     view = net.links()
     inc = {i: total_distortion / len(view.keys) for i in view.keys}
-    # inner_bound validates the map (D/n can underflow to 0.0) and its
-    # feasibility, so deriving the profile need not validate it again.
-    inner = bounds.inner_bound(net, inc)
-    profile = bounds._derive(view, inc)
-    return RateAllocation(
-        method="equal-split",
-        per_link_rate_bits=inner.per_link_rate_bits,
-        profile=profile,
-        sum_rate_bits=fsum(inner.per_link_rate_bits[i] for i in view.keys),
-    )
+    # Validates the map (D/n can underflow to 0.0) and its test channels.
+    bounds.test_channel_variances(net, inc)
+    return _allocation("equal-split", view, inc)
 
 
 def allocate_numeric_penalized(
@@ -174,16 +172,16 @@ def allocate_numeric_penalized(
                 f"stopped after {updates} coordinate updates before reaching tol={tol:g}",
             )
 
-    inc_map = dict(zip(links, inc.tolist()))
-    profile = bounds.derive_distortions(net, inc_map)
-    rates = bounds._link_rates(net.links(), inc_map)
-    return RateAllocation(
-        method="numeric-penalized",
-        per_link_rate_bits=rates,
-        profile=profile,
-        sum_rate_bits=fsum(rates[i] for i in links),
-        warnings=warnings,
-    )
+    return _allocation("numeric-penalized", net.links(), dict(zip(links, inc.tolist())), warnings)
+
+
+def _allocation(method: str, view: LinkSet, inc: dict, warnings: tuple = ()) -> RateAllocation:
+    # Every allocator's tail: the profile of ``inc`` and each link's rate.
+    # A budget whose split underflows to 0 is refused as an input.
+    _require_positive(inc, "incremental distortions", bounds._LINK_WORDS[view.mode][0])
+    profile = bounds._derive(view, inc)
+    rates = bounds._link_rates(view, inc)
+    return RateAllocation(method, rates, profile, fsum(rates.values()), warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -205,74 +203,77 @@ def allocate_consensus(
 
     ``inc_e = D / (E_d * multiplicity_e)`` keeps ``multiplicity_e * inc_e``
     constant across the ``E_d = 2(n-1)`` directed edges and makes the
-    budget constraint tight.  With ``cross_validate`` (default) the
-    result is checked against the independent Newton solver to 1e-6 bits
-    of sum rate and 1e-8 relative per-edge distortion.
+    budget constraint tight.  With ``cross_validate`` (default) the result
+    is certified optimal by the KKT conditions of the convex program
+    (:func:`_certify`, O(n)); ``cross_validate=False`` skips the check.
     """
     total_distortion, edges, mult = _consensus_setup(net, total_distortion)
     inc_vec = total_distortion / (len(edges) * mult)
-    allocation = _consensus_allocation("consensus-kkt", net, edges, inc_vec)
-    if cross_validate:
-        _cross_check(allocation, allocate_consensus_numeric(net, total_distortion))
-    return allocation
+    result = _allocation("consensus-kkt", net.links(True), dict(zip(edges, inc_vec.tolist())))
+    return _certify(net, result, total_distortion) if cross_validate else result
 
 
-def _cross_check(closed: RateAllocation, numeric: RateAllocation) -> None:
-    # Closed form and Newton solve agree to 1e-6 bits and 1e-8 relative per edge.
-    gap = abs(numeric.sum_rate_bits - closed.sum_rate_bits)
-    if gap > 1e-6:
-        raise ConsistencyError(
-            f"closed-form and numeric consensus allocations disagree by {gap:g} bits"
-        )
-    for e, a in closed.profile.inc.items():
-        b = numeric.profile.inc[e]
-        if abs(a - b) > 1e-8 * a:
-            raise ConsistencyError(f"edge {e}: closed-form inc {a:g} vs numeric {b:g}")
+def _certify(net: TreeNetwork, result: RateAllocation, total_distortion: float) -> RateAllocation:
+    """``result``, once it meets the KKT conditions (:func:`_kkt_violation`)."""
+    total_distortion, edges, mult = _consensus_setup(net, total_distortion)
+    level = mult * np.array([result.profile.inc[e] for e in edges])
+    violation = _kkt_violation(level, fsum(level.tolist()), total_distortion)
+    if violation is not None:
+        raise ConsistencyError(f"{result.method} allocation {violation}")
+    return result
+
+
+def _kkt_violation(level: np.ndarray, total: float, budget: float) -> str | None:
+    """Which KKT condition of the consensus program ``level = m * inc``
+    misses (``inc > 0``, ``level`` constant, ``total = fsum(level)`` equal
+    to ``budget``; Boyd and Vandenberghe, *Convex Optimization*, 5.5.3), or
+    None.  Tolerances bound the forward error, each rounding being off by at
+    most ``u |result| + tiny``: the closed form rounds ``inc_e`` once and a
+    Newton step at its fixed point four times (``level``, ``q``, ``mu q``,
+    ``x + dx``), ``level_e`` adds one, so ``level`` spreads by at most
+    ``10u`` (16u allowed) plus ``(E + 2) tiny``, as no ``m_e`` exceeds
+    ``E/2``; a Newton step takes ``mu`` from one dot product of length ``E``
+    and adds about ten roundings, so ``total`` is within ``(E + 16) u``
+    relative plus ``(E + 1)^2 tiny`` (the closed form within ``3u``)."""
+    n_links = len(level)
+    lo, hi = float(level.min()), float(level.max())
+    if not (lo > 0.0 and hi - lo <= 16 * _U * lo + (n_links + 2) * _TINY):
+        return f"is not stationary: multiplicity * inc spans [{lo!r}, {hi!r}]"
+    if not abs(total - budget) <= (n_links + 16) * _U * budget + (n_links + 1) ** 2 * _TINY:
+        return f"misses its budget: multiplicity * inc sums to {total!r}, not {budget!r}"
+    return None
 
 
 def allocate_consensus_numeric(net: TreeNetwork, total_distortion: float) -> RateAllocation:
     """Equality-constrained Newton solve of the consensus program.
 
-    Minimizes ``sum_e 0.5*log2(s2_e/x_e)`` subject to ``m @ x = D`` from
-    the feasible uniform start, taking damped Newton steps restricted to
-    the constraint plane.  Converges quadratically; used as the numeric
-    arbiter for the closed form.
+    Minimizes ``sum_e 0.5*log2(s2_e/x_e)`` subject to ``m @ x = D`` by
+    damped Newton steps from the uniform start, each also removing its
+    iterate's budget residual so that rounding cannot pile up in ``m @ x``;
+    stops once the KKT certificate holds, or warns after ``_NEWTON_STEPS``.
     """
     total_distortion, edges, mult = _consensus_setup(net, total_distortion)
     x = np.full(len(edges), total_distortion / mult.sum())
-    for _ in range(120):
-        grad = -0.5 / (_LN2 * x)
-        hess_diag = 0.5 / (_LN2 * x * x)
-        # Newton step on the KKT system with a diagonal Hessian:
-        # dx = -H^-1 (grad + nu * m) with nu chosen so m @ dx = 0.
-        hinv_grad = grad / hess_diag
-        hinv_mult = mult / hess_diag
-        nu = -(mult @ hinv_grad) / (mult @ hinv_mult)
-        dx = -(hinv_grad + nu * hinv_mult)
+    warnings: tuple[str, ...] = ()
+    for taken in range(_NEWTON_STEPS + 1):
+        level = mult * x
+        total = fsum(level.tolist())
+        if _kkt_violation(level, total, total_distortion) is None:
+            break
+        if taken == _NEWTON_STEPS:
+            warnings = (f"stopped after {taken} Newton steps before the KKT certificate held",)
+            break
+        # The Hessian is diagonal, so the step is dx_e = x_e (1 - mu q_e)
+        # with q = m x / D and mu chosen so that m @ (x + dx) = D.
+        q = level / total_distortion
+        dx = x * (1.0 - (2.0 * total / total_distortion - 1.0) / (q @ q) * q)
         step = 1.0
         shrinking = dx < 0.0
         if np.any(shrinking):
             step = min(1.0, 0.99 * float(np.min(-x[shrinking] / dx[shrinking])))
-        x_next = x + step * dx
-        done = float(np.max(np.abs(x_next - x) / x)) < 1e-15
-        x = x_next
-        if done:
-            break
-    return _consensus_allocation("consensus-numeric", net, edges, x)
-
-
-def _consensus_allocation(
-    method: str, net: TreeNetwork, edges: tuple[DirectedEdge, ...], inc_vec: np.ndarray
-) -> RateAllocation:
-    inc = dict(zip(edges, inc_vec.tolist()))
-    profile = bounds.consensus_derive(net, inc)
-    rates = bounds._link_rates(net.links(True), inc)
-    return RateAllocation(
-        method=method,
-        per_link_rate_bits=rates,
-        profile=profile,
-        sum_rate_bits=fsum(rates[e] for e in edges),
-    )
+        x = x + step * dx
+    inc = dict(zip(edges, x.tolist()))
+    return _allocation("consensus-numeric", net.links(True), inc, warnings)
 
 
 def rates_for_profile(
@@ -288,14 +289,7 @@ def rates_for_profile(
         raise InputError(f"unsupported profile type {type(profile).__name__}")
     view = net.links(isinstance(profile, ConsensusProfile))
     clipped = bounds._regime_warnings(view, profile.inc, "rate clipped to 0")
-    rates = {
-        key: 0.0 if key in clipped else 0.5 * log2(view.carried[key] / profile.inc[key])
-        for key in view.keys
-    }
-    return RateAllocation(
-        method="profile-rates",
-        per_link_rate_bits=rates,
-        profile=profile,
-        sum_rate_bits=fsum(rates.values()),
-        warnings=tuple(clipped.values()),
-    )
+    # A clipped link is rated at its carried variance: 0.5 * log2(1.0) == 0.0.
+    rates = bounds._link_rates(view, {**profile.inc, **{k: view.carried[k] for k in clipped}})
+    warnings = tuple(clipped.values())
+    return RateAllocation("profile-rates", rates, profile, fsum(rates.values()), warnings)

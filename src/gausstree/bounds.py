@@ -250,7 +250,8 @@ def outer_bound_closed_form(net: TreeNetwork, total_distortion: float) -> float:
     _require_links(net)
     view = net.links()
     penalty = fsum(_link_penalty(view, i, total_distortion) for i in view.keys)
-    return _equal_split_rate(view, total_distortion / len(view.keys)) - 0.5 * penalty
+    share = dict.fromkeys(view.keys, total_distortion / len(view.keys))
+    return fsum(_link_rates(view, share).values()) - 0.5 * penalty
 
 
 def cutset_bound(net: TreeNetwork, profile: DistortionProfile) -> float:
@@ -390,13 +391,7 @@ def inner_bound_minimized(net: TreeNetwork, total_distortion: float) -> float:
     _require_budget(total_distortion)
     _require_links(net)
     share = total_distortion / len(net.sources)
-    test_channel_variances(net, {i: share for i in net.sources})
-    return _equal_split_rate(net.links(), share)
-
-
-def _equal_split_rate(view: LinkSet, share: float) -> float:
-    log_product = fsum(log2(view.carried[i]) for i in view.keys)
-    return 0.5 * (log_product - len(view.keys) * log2(share))
+    return inner_bound(net, dict.fromkeys(net.sources, share)).rate_bits
 
 
 def consensus_test_channel_variances(
@@ -559,10 +554,8 @@ def full_report(
     cut = cutset_bound(net, profile)
     closed = outer_bound_closed_form(net, total_distortion)
     inner = _inner_bound(view, inc, profile.total)
-    if equal_split:  # _inner_bound has just checked this very split
-        minimized = _equal_split_rate(view, total_distortion / len(view.keys))
-    else:
-        minimized = inner_bound_minimized(net, total_distortion)
+    # An equal split has just been rated, and checked, by the inner bound.
+    minimized = inner.rate_bits if equal_split else inner_bound_minimized(net, total_distortion)
     gap = gap_report(net, profile)
     return BoundsReport(
         mode="aggregation",

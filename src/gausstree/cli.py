@@ -127,15 +127,22 @@ def _number_map(path: str, what: str, parse_key) -> dict:
     return out
 
 
+def _node_id(text: str) -> int:
+    # ASCII decimal digits only: int() alone also reads "1_0", " 2" and "３".
+    if not (text.isascii() and text.isdecimal()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _link_map(path: str) -> dict[int, float]:
-    return _number_map(path, "node ids", int)
+    return _number_map(path, "node ids", _node_id)
 
 
 def _edge_key(key: str) -> tuple[int, int]:
     parts = key.split("->")
     if len(parts) != 2:
         raise InputError(f'edge key {key!r} is not of the form "i->j"')
-    return int(parts[0]), int(parts[1])
+    return _node_id(parts[0]), _node_id(parts[1])
 
 
 def _edge_map(path: str) -> dict[tuple[int, int], float]:
@@ -267,9 +274,8 @@ def _cmd_consensus_allocate(args) -> int:
     net = _load_tree(args.tree)
     if args.D is None:
         raise InputError("--D is required")
-    kkt = allocation.allocate_consensus(net, args.D, cross_validate=False)
-    numeric = allocation.allocate_consensus_numeric(net, args.D)
-    allocation._cross_check(kkt, numeric)
+    kkt = allocation.allocate_consensus(net, args.D)
+    numeric = allocation._certify(net, allocation.allocate_consensus_numeric(net, args.D), args.D)
     payload = kkt.to_json_dict(net)
     # The uniform per-edge split is shown alongside the solution of the
     # multiplicity-weighted program; they coincide only when every edge

@@ -549,13 +549,15 @@ class TreeNetwork:
 
     @cached_property
     def _aggregation_links(self) -> LinkSet:
-        sources, own = self.sources, {i: self.weights[i] ** 2 for i in self.sources}
+        # w * w, not w ** 2: pow is not always correctly rounded.
+        sources, own = self.sources, {i: self.weights[i] * self.weights[i] for i in self.sources}
         return LinkSet("aggregation", self.cascade, sources, own, sources, (self.root,))
 
     @cached_property
     def _consensus_links(self) -> LinkSet:
         edges, nodes = self.cascade.edges, self.node_ids
-        own = {e: self.weights.get(e.src, 0.0) ** 2 for e in edges}
+        squares = {i: w * w for i, w in self.weights.items()}
+        own = {e: squares.get(e.src, 0.0) for e in edges}
         return LinkSet("consensus", self.cascade, edges, own, nodes, nodes)
 
     @property
@@ -710,10 +712,7 @@ def normalize_edge_map(
     missing = [e for e in directed_edges(net) if e not in table]
     if missing:
         raise InputError(f"{what}: missing entries for edges {[str(e) for e in missing]}")
-    for e, v in table.items():
-        if not math.isfinite(v) or v <= 0.0:
-            raise InputError(f"{what}: edge {e} must be positive and finite, got {v!r}")
-    return table
+    return _require_positive(table, what, "edge")
 
 
 def normalize_link_map(
@@ -729,9 +728,14 @@ def normalize_link_map(
     missing = [i for i in net.sources if i not in table]
     if missing:
         raise InputError(f"{what}: missing entries for nodes {missing}")
-    for i, v in table.items():
+    return _require_positive(table, what, "node")
+
+
+def _require_positive(table: dict, what: str, word: str) -> dict:
+    # ``table``, once every value is positive and finite.
+    for key, v in table.items():
         if not math.isfinite(v) or v <= 0.0:
-            raise InputError(f"{what}: node {i} must be positive and finite, got {v!r}")
+            raise InputError(f"{what}: {word} {key} must be positive and finite, got {v!r}")
     return table
 
 

@@ -79,12 +79,15 @@ def uniform_edge_d(net: TreeNetwork, value: float) -> dict:
 def shaped_tree(
     rng: np.random.Generator, shape: str, n_nodes: int, mode: str = "aggregation"
 ) -> TreeNetwork:
-    """``line``, ``star`` or ``random`` tree on ``n_nodes`` nodes rooted at 0;
-    in ``aggregation`` mode node 0 is an unweighted sink."""
+    """``line``, ``star``, ``caterpillar`` (even ids form the spine, each odd
+    id hangs off the spine node before it) or ``random`` tree on ``n_nodes``
+    nodes rooted at 0; in ``aggregation`` mode node 0 is an unweighted sink."""
     if shape == "line":
         parents = {i: i - 1 for i in range(1, n_nodes)}
     elif shape == "star":
         parents = {i: 0 for i in range(1, n_nodes)}
+    elif shape == "caterpillar":
+        parents = {i: i - 1 if i % 2 else i - 2 for i in range(1, n_nodes)}
     elif shape == "random":
         parents = {i: int(rng.integers(0, i)) for i in range(1, n_nodes)}
     else:

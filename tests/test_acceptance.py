@@ -103,8 +103,8 @@ def test_acceptance_02_equal_split_matches_closed_form():
                 worst,
                 abs(result.sum_rate_bits - bounds.inner_bound_minimized(net, d_total)),
             )
-        assert worst <= 1e-9
-    _report(2, t, f"equal-split sum rate matches the closed form (worst gap {worst:.1e} bits)")
+        assert worst == 0.0
+    _report(2, t, "equal-split sum rate equals the closed form bit for bit")
 
 
 def test_acceptance_03_line_gap_asymptote():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gausstree import allocation, bounds
-from gausstree.errors import InfeasibleError, InputError
+from gausstree.errors import ConsistencyError, InfeasibleError, InputError
 from gausstree.network import (
     TreeNetwork,
     directed_edges,
@@ -14,7 +14,7 @@ from gausstree.network import (
     make_line,
 )
 
-from helpers import equal_split, random_tree
+from helpers import equal_split, random_tree, shaped_tree
 
 
 class TestEqualSplit:
@@ -150,6 +150,49 @@ class TestConsensusAllocation:
         net = consensus_star(2)
         result = allocation.allocate_consensus(net, 0.01)
         assert result.method == "consensus-kkt"
+
+    def test_certificate_refuses_one_edge_off_by_1e_9(self, monkeypatch):
+        tail = allocation._allocation
+
+        def perturbed(method, view, inc, warnings=()):
+            first = view.keys[0]
+            return tail(method, view, {**inc, first: inc[first] * (1 + 1e-9)}, warnings)
+
+        net = random_tree(np.random.default_rng(5), 12, mode="consensus")
+        monkeypatch.setattr(allocation, "_allocation", perturbed)
+        allocation.allocate_consensus(net, 0.01, cross_validate=False)
+        with pytest.raises(ConsistencyError, match="consensus-kkt allocation is not stationary"):
+            allocation.allocate_consensus(net, 0.01)
+
+    @given(
+        shape=st.sampled_from(["line", "star", "random"]),
+        n=st.integers(2, 300),
+        log_d=st.floats(-12.0, 2.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_certificate_accepts_the_closed_form_and_newton(self, shape, n, log_d, seed):
+        net = shaped_tree(np.random.default_rng(seed), shape, n, mode="consensus")
+        d_total = 10.0**log_d
+        allocation.allocate_consensus(net, d_total)  # certifies, or raises
+        numeric = allocation.allocate_consensus_numeric(net, d_total)
+        assert numeric.warnings == ()
+        assert allocation._certify(net, numeric, d_total) is numeric
+
+    def test_newton_warns_when_it_stops_at_its_step_cap(self, monkeypatch):
+        net = consensus_star(5)
+        monkeypatch.setattr(allocation, "_NEWTON_STEPS", 2)
+        numeric = allocation.allocate_consensus_numeric(net, 0.01)
+        assert numeric.warnings == (
+            "stopped after 2 Newton steps before the KKT certificate held",
+        )
+        with pytest.raises(ConsistencyError, match="consensus-numeric allocation"):
+            allocation._certify(net, numeric, 0.01)
+
+    def test_subnormal_closed_form_is_certified(self):
+        net = random_tree(np.random.default_rng(8), 30, mode="consensus")
+        result = allocation.allocate_consensus(net, 1e-306)
+        assert 0.0 < min(result.profile.inc.values()) < 2.2250738585072014e-308
 
 
 class TestRatesForProfile:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gausstree import bounds
 from gausstree.errors import ConsistencyError, InfeasibleError, InputError
@@ -19,6 +19,7 @@ from helpers import (
     equal_split,
     random_feasible_d,
     random_tree,
+    shaped_tree,
     uniform_edge_d,
 )
 
@@ -472,3 +473,40 @@ def test_closed_form_bounds_refuse_a_tree_without_links(bound):
     sink_only = TreeNetwork(root=0, parents={}, weights={})
     with pytest.raises(InputError, match="at least one node besides the root"):
         bound(sink_only, 0.1)
+
+
+def _bits_fields(report: bounds.BoundsReport) -> dict:
+    return {name: value for name, value in vars(report).items() if name.endswith("_bits")}
+
+
+@given(
+    shape=st.sampled_from(["line", "star", "caterpillar", "random"]),
+    n=st.integers(2, 2000),
+    k=st.integers(-40, 40),
+    fraction=st.floats(0.01, 0.9),
+    seed=st.integers(0, 2**16),
+)
+@example(shape="star", n=456, k=1, fraction=0.5, seed=65535)  # a leaf where w ** 2 != w * w
+@example(shape="random", n=2000, k=37, fraction=0.3, seed=7)
+@example(shape="caterpillar", n=2000, k=-40, fraction=0.9, seed=11)
+@settings(max_examples=30)
+def test_power_of_two_scaling_leaves_every_rate_bit_identical(shape, n, k, fraction, seed):
+    # Weights times 2**k and distortions times 4**k are exact in binary
+    # floating point, so every log ratio, hence every *_bits field, is too.
+    rng = np.random.default_rng(seed)
+    net = shaped_tree(rng, shape, n)
+    scaled = TreeNetwork(
+        root=0, parents=net.parents, weights={i: w * 2.0**k for i, w in net.weights.items()}
+    )
+    floor = min(w * w for w in net.weights.values())  # no test channel carries less
+    d_total = fraction * len(net.sources) * floor
+    d = {i: float(rng.uniform(0.01, 1.0)) * floor for i in net.sources}
+    for report, twin in [
+        (bounds.full_report(net, d_total), bounds.full_report(scaled, d_total * 4.0**k)),
+        (
+            bounds.full_report(net, inc=d),
+            bounds.full_report(scaled, inc={i: v * 4.0**k for i, v in d.items()}),
+        ),
+    ]:
+        assert twin.total_distortion == report.total_distortion * 4.0**k
+        assert _bits_fields(twin) == _bits_fields(report)

@@ -405,7 +405,7 @@ def test_consensus_bounds_folds_the_profile_it_holds(capsys, tmp_path, monkeypat
         path.write_text(json.dumps({str(e): v for e, v in inc.items()}))
         budget, expected_calls = budget + [str(path)], 1
     else:
-        inc, expected_calls = allocation.allocate_consensus(net, 0.03).profile.inc, 2
+        inc, expected_calls = allocation.allocate_consensus(net, 0.03).profile.inc, 1
     profile = bounds.consensus_derive(net, inc)
     report = bounds.consensus_report(net, profile.inc, profile.total)
     expected = cli._format_json(report.to_json_dict())
@@ -460,4 +460,34 @@ def test_consensus_allocate_cross_checks_the_numeric_solve(capsys, consensus3_pa
     monkeypatch.setattr(allocation, "allocate_consensus_numeric", skewed)
     code, out, err = run_capture(capsys, argv)
     assert (code, out) == (4, "")
-    assert err.startswith("internal consistency failure: edge 0->1: closed-form inc")
+    assert err.startswith(
+        "internal consistency failure: consensus-numeric allocation misses its budget"
+    )
+
+
+LINE10 = [node(i, parent=i - 1) for i in range(1, 11)]
+
+
+@pytest.mark.parametrize(
+    "command, nodes, links, key",
+    [
+        ("bounds", LINE10, {**{str(i): 0.01 for i in range(1, 10)}, "1_0": 0.01}, "1_0"),
+        ("bounds", LINE3, {"1": 0.01, " 2": 0.01}, " 2"),
+        ("bounds", LINE3, {"1": 0.01, "\uff12": 0.01}, "\uff12"),
+        ("bounds", LINE3, {"1": 0.01, "+2": 0.01}, "+2"),
+        ("consensus-bounds", CONSENSUS3,
+         {"0->1": 0.01, "0_1->0": 0.01, "1->2": 0.01, "2->1": 0.01}, "0_1->0"),
+        ("consensus-bounds", CONSENSUS3,
+         {"0->1": 0.01, "1->0": 0.01, "1->2": 0.01, "2-> 1": 0.01}, "2-> 1"),
+        ("consensus-bounds", CONSENSUS3,
+         {"0->1": 0.01, "1->0": 0.01, "1->\uff12": 0.01, "2->1": 0.01}, "1->\uff12"),
+    ],
+    ids=["underscore", "space", "fullwidth", "plus", "edge-underscore", "edge-space",
+         "edge-fullwidth"],
+)
+def test_map_keys_are_ascii_decimal_node_ids(capsys, tmp_path, command, nodes, links, key):
+    tree, path = tmp_path / "tree.json", tmp_path / "links.json"
+    tree.write_text(json.dumps({"root": 0, "nodes": nodes}))
+    path.write_text(json.dumps(links))
+    code, out, err = run_capture(capsys, [command, "--tree", str(tree), "--d-per-link", str(path)])
+    assert (code, out, err) == (2, "", f"error: {path}: bad entry {key!r}: 0.01\n")
