@@ -20,6 +20,11 @@ Usage:
         exits 1 if any do
 
 ``--sample N`` keeps about N cases, evenly spaced through the corpus.
+tests/corpus.json holds the records of ``--sample 200``, which a tier-1
+test replays; after an intended change of output, re-record it with
+    PYTHONPATH=src python scripts/replay.py --sample 200 | python -c \
+        "import json, sys; json.dump({'sample': 200, 'cases': [json.loads(line) \
+        for line in sys.stdin]}, sys.stdout, indent=1)" > tests/corpus.json
 """
 
 import argparse
@@ -208,18 +213,28 @@ def sampled(cases: list, sample: int | None) -> list:
     return cases[:: -(-len(cases) // sample)]
 
 
-def record(sample: int | None) -> None:
+def records(sample: int | None):
+    """Run the (sampled) corpus in process and yield each case's record."""
     from gausstree import cli
 
     files: dict[str, object] = {}
     cases = sampled(corpus(files), sample)
+    here = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         for name, doc in files.items():
             text = doc if isinstance(doc, str) else json.dumps(doc)
             Path(work, name).write_text(text, encoding="utf-8")
         os.chdir(work)  # argv name files relative to the corpus, so stderr matches
-        for argv in cases:
-            print(json.dumps(run_case(cli, argv)), flush=True)
+        try:
+            for argv in cases:
+                yield run_case(cli, argv)
+        finally:
+            os.chdir(here)
+
+
+def record(sample: int | None) -> None:
+    for case in records(sample):
+        print(json.dumps(case), flush=True)
 
 
 def replay(src: Path, sample: int | None) -> list[dict]:

@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds
 from .bounds import ConsensusProfile, DistortionProfile
 from .errors import ConsistencyError, InfeasibleError, InputError
-from .network import LinkSet, TreeNetwork, directed_edges, _require_positive
+from .network import LinkSet, TreeNetwork
 
 __all__ = [
     "RateAllocation",
@@ -63,13 +63,13 @@ class RateAllocation:
 
     def link_records(self, net: TreeNetwork) -> list[dict]:
         records = []
-        edge = net.links(isinstance(self.profile, ConsensusProfile)).edge
+        view = net.links(isinstance(self.profile, ConsensusProfile))
         for key in sorted(self.per_link_rate_bits):
-            src, dst = edge[key]
+            k = view.index[key]
             records.append(
                 {
-                    "from": src,
-                    "to": dst,
+                    "from": view.src[k],
+                    "to": view.dst[k],
                     "inc": self.profile.inc[key],
                     "rate_bits": self.per_link_rate_bits[key],
                 }
@@ -111,9 +111,9 @@ def allocate_equal_incremental(net: TreeNetwork, total_distortion: float) -> Rat
     """
     total_distortion = _check_budget(total_distortion)
     view = net.links()
-    inc = {i: total_distortion / len(view.keys) for i in view.keys}
-    # Validates the map (D/n can underflow to 0.0) and its test channels.
-    bounds.test_channel_variances(net, inc)
+    # Checks the split (D/n can underflow to 0.0) and its test channels.
+    inc = view.positive(view.split(total_distortion), "distortion parameters")
+    bounds._test_channel_variances(view, inc)
     return _allocation("equal-split", view, inc)
 
 
@@ -172,16 +172,16 @@ def allocate_numeric_penalized(
                 f"stopped after {updates} coordinate updates before reaching tol={tol:g}",
             )
 
-    return _allocation("numeric-penalized", net.links(), dict(zip(links, inc.tolist())), warnings)
+    return _allocation("numeric-penalized", net.links(), inc.tolist(), warnings)
 
 
-def _allocation(method: str, view: LinkSet, inc: dict, warnings: tuple = ()) -> RateAllocation:
+def _allocation(method: str, view: LinkSet, inc: list, warnings: tuple = ()) -> RateAllocation:
     # Every allocator's tail: the profile of ``inc`` and each link's rate.
     # A budget whose split underflows to 0 is refused as an input.
-    _require_positive(inc, "incremental distortions", bounds._LINK_WORDS[view.mode][0])
+    view.positive(inc, "incremental distortions")
     profile = bounds._derive(view, inc)
     rates = bounds._link_rates(view, inc)
-    return RateAllocation(method, rates, profile, fsum(rates.values()), warnings)
+    return RateAllocation(method, view.keyed(rates), profile, fsum(rates), warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +190,8 @@ def _allocation(method: str, view: LinkSet, inc: dict, warnings: tuple = ()) -> 
 
 def _consensus_setup(net: TreeNetwork, total_distortion: float):
     total_distortion = _check_budget(total_distortion)
-    bounds._require_consensus(net)
-    edges = directed_edges(net)
-    mult = np.array([net.cascade.multiplicity(e) for e in edges], dtype=float)
-    return total_distortion, edges, mult
+    view = bounds._consensus_view(net)
+    return total_distortion, view, np.array(view.mult, dtype=float)
 
 
 def allocate_consensus(
@@ -207,16 +205,15 @@ def allocate_consensus(
     is certified optimal by the KKT conditions of the convex program
     (:func:`_certify`, O(n)); ``cross_validate=False`` skips the check.
     """
-    total_distortion, edges, mult = _consensus_setup(net, total_distortion)
-    inc_vec = total_distortion / (len(edges) * mult)
-    result = _allocation("consensus-kkt", net.links(True), dict(zip(edges, inc_vec.tolist())))
+    total_distortion, view, mult = _consensus_setup(net, total_distortion)
+    result = _allocation("consensus-kkt", view, (total_distortion / (len(mult) * mult)).tolist())
     return _certify(net, result, total_distortion) if cross_validate else result
 
 
 def _certify(net: TreeNetwork, result: RateAllocation, total_distortion: float) -> RateAllocation:
     """``result``, once it meets the KKT conditions (:func:`_kkt_violation`)."""
-    total_distortion, edges, mult = _consensus_setup(net, total_distortion)
-    level = mult * np.array([result.profile.inc[e] for e in edges])
+    total_distortion, view, mult = _consensus_setup(net, total_distortion)
+    level = mult * np.array(view.listed(result.profile.inc))
     violation = _kkt_violation(level, fsum(level.tolist()), total_distortion)
     if violation is not None:
         raise ConsistencyError(f"{result.method} allocation {violation}")
@@ -252,8 +249,8 @@ def allocate_consensus_numeric(net: TreeNetwork, total_distortion: float) -> Rat
     iterate's budget residual so that rounding cannot pile up in ``m @ x``;
     stops once the KKT certificate holds, or warns after ``_NEWTON_STEPS``.
     """
-    total_distortion, edges, mult = _consensus_setup(net, total_distortion)
-    x = np.full(len(edges), total_distortion / mult.sum())
+    total_distortion, view, mult = _consensus_setup(net, total_distortion)
+    x = np.full(len(mult), total_distortion / mult.sum())
     warnings: tuple[str, ...] = ()
     for taken in range(_NEWTON_STEPS + 1):
         level = mult * x
@@ -272,8 +269,7 @@ def allocate_consensus_numeric(net: TreeNetwork, total_distortion: float) -> Rat
         if np.any(shrinking):
             step = min(1.0, 0.99 * float(np.min(-x[shrinking] / dx[shrinking])))
         x = x + step * dx
-    inc = dict(zip(edges, x.tolist()))
-    return _allocation("consensus-numeric", net.links(True), inc, warnings)
+    return _allocation("consensus-numeric", view, x.tolist(), warnings)
 
 
 def rates_for_profile(
@@ -288,8 +284,10 @@ def rates_for_profile(
     if not isinstance(profile, (ConsensusProfile, DistortionProfile)):
         raise InputError(f"unsupported profile type {type(profile).__name__}")
     view = net.links(isinstance(profile, ConsensusProfile))
-    clipped = bounds._regime_warnings(view, profile.inc, "rate clipped to 0")
+    inc = view.listed(profile.inc)
+    clipped = bounds._regime_warnings(view, inc, "rate clipped to 0")
     # A clipped link is rated at its carried variance: 0.5 * log2(1.0) == 0.0.
-    rates = bounds._link_rates(view, {**profile.inc, **{k: view.carried[k] for k in clipped}})
+    inc = [view.carried[k] if k in clipped else d for k, d in enumerate(inc)]
+    rates = bounds._link_rates(view, inc)
     warnings = tuple(clipped.values())
-    return RateAllocation("profile-rates", rates, profile, fsum(rates.values()), warnings)
+    return RateAllocation("profile-rates", view.keyed(rates), profile, fsum(rates), warnings)

@@ -13,8 +13,9 @@ distortions summing the incremental distortions along each directed
 tree.  One private loop per log term (the outer bound, which the gap
 reuses with ``rx``, and the link rates, which the cut-set bound reuses
 with ``rx``) runs over one mode's :class:`~gausstree.network.LinkSet`,
-whose ``variances`` is the test-channel recursion; the public consensus
-functions only check that every node is weighted and validate the map.
+whose ``variances`` is the test-channel recursion.  Private functions take
+checked lists indexed by link; public ones check a caller's map once
+(:meth:`~gausstree.network.LinkSet.read`) and key what they return.
 
 The accumulation sums are the view's exact sums, O(n) in both modes:
 ``tx`` equals ``math.fsum`` over the strictly upstream links and
@@ -37,13 +38,7 @@ from typing import Mapping
 
 from .errors import ConsistencyError, InfeasibleError, InputError
 from .infomeasures import LOG2E
-from .network import (
-    DirectedEdge,
-    LinkSet,
-    TreeNetwork,
-    normalize_edge_map,
-    normalize_link_map,
-)
+from .network import DirectedEdge, LinkSet, TreeNetwork
 
 __all__ = [
     "BoundsReport",
@@ -130,14 +125,22 @@ def derive_distortions(net: TreeNetwork, inc: Mapping[int, float]) -> Distortion
         With ``rx = tx + inc`` per link and ``total = sum(inc)``, all
         exact; deriving twice is idempotent.
     """
-    return _derive(net.links(), normalize_link_map(net, inc, "incremental distortions"))
+    view = net.links()
+    return _derive(view, view.read(inc, "incremental distortions"))
 
 
-def _derive(view: LinkSet, inc: dict) -> DistortionProfile | ConsensusProfile:
-    # derive_distortions or consensus_derive for a validated map.
-    tx, per_root, total = view.sums(inc)
-    rx = {link: tx[link] + inc[link] for link in view.keys}
+def _accumulate(view: LinkSet, inc: list) -> tuple[list, list, list, float]:
+    # (tx, rx, per_sink, total) of checked incremental distortions.
+    tx, per_sink, total = view.sums(inc)
+    return tx, [t + d for t, d in zip(tx, inc)], per_sink, total
+
+
+def _derive(view: LinkSet, inc: list) -> DistortionProfile | ConsensusProfile:
+    # derive_distortions or consensus_derive for checked distortions.
+    tx, rx, per_sink, total = _accumulate(view, inc)
+    inc, tx, rx = view.keyed(inc), view.keyed(tx), view.keyed(rx)
     if view.mode == "consensus":
+        per_root = dict(zip(view.sinks, per_sink))
         return ConsensusProfile(inc=inc, tx=tx, rx=rx, per_root=per_root, total=total)
     return DistortionProfile(inc=inc, tx=tx, rx=rx, total=total)
 
@@ -151,8 +154,8 @@ def consensus_derive(
     in the directed tree towards ``a``; ``per_root[k]`` sums ``inc`` over
     the full directed tree towards ``k``.
     """
-    _require_consensus(net)
-    return _derive(net.links(True), normalize_edge_map(net, inc, "incremental distortions"))
+    view = _consensus_view(net)
+    return _derive(view, view.read(inc, "incremental distortions"))
 
 
 def _require_budget(total_distortion: float) -> None:
@@ -165,13 +168,15 @@ def _require_links(net: TreeNetwork) -> None:
         raise InputError("aggregation needs at least one node besides the root")
 
 
-def _require_consensus(net: TreeNetwork) -> None:
+def _consensus_view(net: TreeNetwork) -> LinkSet:
+    # The consensus links, once every node is weighted and there are two.
     if not net.fully_weighted:
         raise InputError(
             "consensus computations need a weight on every node, including the root"
         )
     if net.n_nodes < 2:
         raise InputError("consensus needs at least two nodes")
+    return net.links(True)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +190,14 @@ def outer_bound_penalty(net: TreeNetwork, i: int, x: float) -> float:
     ``s2`` the subtree variance of node ``i``.  Zero at ``x = 0``,
     strictly increasing, and of order ``sqrt(x)`` for small ``x``.
     """
-    net._require_node(i)
+    net.cascade.node(i)
     if i == net.root:
         raise InputError("the root has no uplink, so no penalty term")
-    return _link_penalty(net.links(), i, x)
+    view = net.links()
+    return _link_penalty(view, view.index[i], x)
 
 
-def _link_penalty(view: LinkSet, link, x: float) -> float:
+def _link_penalty(view: LinkSet, link: int, x: float) -> float:
     """:func:`outer_bound_penalty` for a link of the view, read with the
     variance it carries and the weight of its transmitting node (a
     consensus edge uses its oriented subtree and its ``src``)."""
@@ -215,30 +221,35 @@ def outer_bound_incremental(net: TreeNetwork, profile: DistortionProfile) -> Out
     Per link: ``0.5 * (log2(s2_i / inc_i) - penalty_i(tx_i))``, reported
     raw (no clipping).
     """
-    return _outer_bound(net.links(), profile)
+    return _keyed_outer_bound(net.links(), profile)
 
 
-def _outer_bound(view: LinkSet, profile, variance: Mapping | None = None) -> OuterBound:
-    # 0.5 * (log2(variance / inc) - penalty(tx)) per link; gap_report passes rx.
+def _keyed_outer_bound(view: LinkSet, profile) -> OuterBound:
+    # outer_bound_incremental or consensus_outer of a caller's profile.
+    total, per_link = _outer_bound(view, view.listed(profile.inc), view.listed(profile.tx))
+    return OuterBound(total, view.keyed(per_link))
+
+
+def _outer_bound(view: LinkSet, inc: list, tx: list, variance: list | None = None):
+    # (total, per link) of 0.5 * (log2(variance / inc) - penalty(tx)); the gap passes rx.
     variance = view.carried if variance is None else variance
-    inc, tx = profile.inc, profile.tx
     try:
-        per_link = {
-            link: 0.5 * (log2(variance[link] / inc[link]) - _link_penalty(view, link, tx[link]))
-            for link in view.keys
-        }
+        per_link = [
+            0.5 * (log2(variance[k] / inc[k]) - _link_penalty(view, k, tx[k]))
+            for k in range(len(inc))
+        ]
     except ValueError:
         _refuse_underflow(view, variance, inc)
         raise
-    return OuterBound(fsum(per_link.values()), per_link)
+    return fsum(per_link), per_link
 
 
-def _refuse_underflow(view: LinkSet, num: Mapping, den: Mapping) -> None:
+def _refuse_underflow(view: LinkSet, num: list, den: list) -> None:
     # A log2 term failed: name the first link whose quotient underflows to 0.
-    for link in view.keys:
-        if num[link] / den[link] == 0.0:
+    for k, key in enumerate(view.keys):
+        if num[k] / den[k] == 0.0:
             raise InfeasibleError(
-                f"link {_link_label(link)}: the ratio {num[link]:g} / {den[link]:g} "
+                f"link {key}: the ratio {num[k]:g} / {den[k]:g} "
                 "underflows to 0, so its log term is undefined"
             )
 
@@ -249,14 +260,15 @@ def outer_bound_closed_form(net: TreeNetwork, total_distortion: float) -> float:
     _require_budget(total_distortion)
     _require_links(net)
     view = net.links()
-    penalty = fsum(_link_penalty(view, i, total_distortion) for i in view.keys)
-    share = dict.fromkeys(view.keys, total_distortion / len(view.keys))
-    return fsum(_link_rates(view, share).values()) - 0.5 * penalty
+    share = view.positive(view.split(total_distortion), "incremental distortions")
+    penalty = fsum(_link_penalty(view, k, total_distortion) for k in range(len(share)))
+    return fsum(_link_rates(view, share)) - 0.5 * penalty
 
 
 def cutset_bound(net: TreeNetwork, profile: DistortionProfile) -> float:
     """Cut-set outer bound ``0.5 * sum_i log2(s2_i / rx_i)``."""
-    return fsum(_link_rates(net.links(), profile.rx).values())
+    view = net.links()
+    return fsum(_link_rates(view, view.listed(profile.rx)))
 
 
 @dataclass(frozen=True)
@@ -273,8 +285,10 @@ def gap_report(net: TreeNetwork, profile: DistortionProfile) -> GapReport:
     Each link contributes ``0.5 * log2(rx_i / inc_i) - 0.5 * penalty_i(tx_i)``;
     leaves contribute exactly zero.
     """
-    gap = _outer_bound(net.links(), profile, profile.rx)
-    return GapReport(gap.total_bits, gap.per_link_bits)
+    view = net.links()
+    inc, tx, rx = view.listed(profile.inc), view.listed(profile.tx), view.listed(profile.rx)
+    total, per_link = _outer_bound(view, inc, tx, rx)
+    return GapReport(total, view.keyed(per_link))
 
 
 def line_gap_asymptote(n: int) -> float:
@@ -288,8 +302,7 @@ def line_gap_asymptote(n: int) -> float:
 def consensus_outer(net: TreeNetwork, profile: ConsensusProfile) -> OuterBound:
     """Incremental-distortion outer bound on the consensus sum rate,
     summed over all directed edges with oriented-subtree variances."""
-    _require_consensus(net)
-    return _outer_bound(net.links(True), profile)
+    return _keyed_outer_bound(_consensus_view(net), profile)
 
 
 def classical_consensus_comparator_bits(n: int, total_distortion: float) -> float:
@@ -299,7 +312,7 @@ def classical_consensus_comparator_bits(n: int, total_distortion: float) -> floa
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f"node count must be a positive integer, got {n!r}")
     _require_budget(total_distortion)
-    return max(0.0, 0.5 * n * log2(1.0 / (n**1.5 * total_distortion)))
+    return max(0.0, 0.5 * n * -log2(n**1.5 * total_distortion))
 
 
 # ---------------------------------------------------------------------------
@@ -316,25 +329,26 @@ def test_channel_variances(net: TreeNetwork, d: Mapping[int, float]) -> dict[int
     never exceeds the subtree variances; a violation beyond round-off is
     reported as an internal-consistency failure.
     """
-    return _test_channel_variances(net.links(), normalize_link_map(net, d, "distortion parameters"))
+    view = net.links()
+    return view.keyed(_test_channel_variances(view, view.read(d, "distortion parameters")))
 
 
-def _test_channel_variances(view: LinkSet, d: Mapping) -> dict:
+def _test_channel_variances(view: LinkSet, d: list) -> list:
     # A link passes on the description variance sigma_hat - d.
     what, ceiling = _LINK_WORDS[view.mode]
-    carried = view.carried
+    carried, keys = view.carried, view.keys
 
-    def describe(link, var: float) -> float:
-        if d[link] > var:
+    def describe(k: int, var: float) -> float:
+        if d[k] > var:
             raise InfeasibleError(
-                f"{what} {link}: distortion {d[link]:g} exceeds test-channel variance {var:g}"
+                f"{what} {keys[k]}: distortion {d[k]:g} exceeds test-channel variance {var:g}"
             )
-        s2 = carried[link]
-        if var > s2 * (1.0 + _RECURSION_TOL):
+        if var > carried[k] * (1.0 + _RECURSION_TOL):
             raise ConsistencyError(
-                f"{what} {link}: test-channel variance {var:g} exceeds {ceiling} variance {s2:g}"
+                f"{what} {keys[k]}: test-channel variance {var:g} exceeds {ceiling} "
+                f"variance {carried[k]:g}"
             )
-        return var - d[link]
+        return var - d[k]
 
     return view.variances(describe)
 
@@ -356,30 +370,28 @@ def inner_bound(net: TreeNetwork, d: Mapping[int, float]) -> InnerBound:
     the test-channel variances, so this is achievable) and distortion
     ``sum_i d_i``; validates the test-channel variance recursion.
     """
-    d = normalize_link_map(net, d, "distortion parameters")
-    return _inner_bound(net.links(), d, fsum(d.values()))
+    view = net.links()
+    return _inner_bound(view, view.read(d, "distortion parameters"))
 
 
-def _inner_bound(view: LinkSet, d: Mapping, distortion: float | None = None) -> InnerBound:
-    # inner_bound or consensus_inner for a validated map; a caller holding
-    # its end-to-end distortion passes it instead of summing d again.
+def _inner_bound(view: LinkSet, d: list, distortion: float | None = None) -> InnerBound:
+    # inner_bound or consensus_inner for checked distortions; a caller holding
+    # their end-to-end distortion passes it instead of summing d again.
     sigma_hat = _test_channel_variances(view, d)
     per_link = _link_rates(view, d)
-    if distortion is None:
-        distortion = view.sums(d)[2]
     return InnerBound(
-        rate_bits=fsum(per_link[link] for link in view.keys),
-        distortion=distortion,
-        sigma_hat=sigma_hat,
-        per_link_rate_bits=per_link,
+        rate_bits=fsum(per_link),
+        distortion=view.sums(d)[2] if distortion is None else distortion,
+        sigma_hat=view.keyed(sigma_hat),
+        per_link_rate_bits=view.keyed(per_link),
     )
 
 
-def _link_rates(view: LinkSet, inc: Mapping) -> dict:
+def _link_rates(view: LinkSet, inc: list) -> list:
     # The Gaussian rate 0.5 * log2(carried / inc) of every link, raw.
     carried = view.carried
     try:
-        return {link: 0.5 * log2(carried[link] / inc[link]) for link in view.keys}
+        return [0.5 * log2(c / d) for c, d in zip(carried, inc)]
     except ValueError:
         _refuse_underflow(view, carried, inc)
         raise
@@ -390,24 +402,25 @@ def inner_bound_minimized(net: TreeNetwork, total_distortion: float) -> float:
     ``0.5 * log2(prod(s2_i) / (D/n)^n)``."""
     _require_budget(total_distortion)
     _require_links(net)
-    share = total_distortion / len(net.sources)
-    return inner_bound(net, dict.fromkeys(net.sources, share)).rate_bits
+    view = net.links()
+    share = view.positive(view.split(total_distortion), "distortion parameters")
+    _test_channel_variances(view, share)
+    return fsum(_link_rates(view, share))
 
 
 def consensus_test_channel_variances(
     net: TreeNetwork, d: Mapping[tuple[int, int], float]
 ) -> dict[DirectedEdge, float]:
     """Directed test-channel variance recursion for consensus."""
-    _require_consensus(net)
-    d = normalize_edge_map(net, d, "distortion parameters")
-    return _test_channel_variances(net.links(True), d)
+    view = _consensus_view(net)
+    return view.keyed(_test_channel_variances(view, view.read(d, "distortion parameters")))
 
 
 def consensus_inner(net: TreeNetwork, d: Mapping[tuple[int, int], float]) -> InnerBound:
     """Gaussian-codebook inner bound for consensus: rate summed over all
     directed edges, distortion summed per root over its directed tree."""
-    _require_consensus(net)
-    return _inner_bound(net.links(True), normalize_edge_map(net, d, "distortion parameters"))
+    view = _consensus_view(net)
+    return _inner_bound(view, view.read(d, "distortion parameters"))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +467,7 @@ class BoundsReport:
 
     def to_json_dict(self) -> dict:
         links = [
-            {"link": _link_label(key), "rate_bits": rate}
+            {"link": str(key), "rate_bits": rate}
             for key, rate in sorted(self.per_link_rates_bits.items())
         ]
         out: dict[str, object] = {
@@ -490,7 +503,7 @@ class BoundsReport:
         ]
         rows: list[list] = [header]
         for key, rate in sorted(self.per_link_rates_bits.items()):
-            rows.append([_link_label(key), rate, "", "", "", ""])
+            rows.append([str(key), rate, "", "", "", ""])
         rows.append(
             [
                 "total",
@@ -506,22 +519,16 @@ class BoundsReport:
         return rows
 
 
-def _link_label(key) -> str:
-    if isinstance(key, DirectedEdge):
-        return str(key)
-    return str(int(key))
-
-
 def _regime_warnings(
-    view: LinkSet, inc: Mapping, consequence: str = "bound terms are non-positive"
-) -> dict[object, str]:
+    view: LinkSet, inc: list, consequence: str = "bound terms are non-positive"
+) -> dict[int, str]:
     # One warning per link whose incremental distortion reaches its carried variance.
     carried = view.carried
     return {
-        key: f"link {_link_label(key)}: incremental distortion {inc[key]:g} reaches "
-        f"the carried variance {carried[key]:g}; {consequence}"
-        for key in view.keys
-        if inc[key] >= carried[key]
+        k: f"link {key}: incremental distortion {inc[k]:g} reaches "
+        f"the carried variance {carried[k]:g}; {consequence}"
+        for k, key in enumerate(view.keys)
+        if inc[k] >= carried[k]
     }
 
 
@@ -536,37 +543,37 @@ def full_report(
     ``d = D/n``) or an explicit per-link map ``inc`` (whose sum becomes
     the budget the closed-form bounds are evaluated at).
     """
+    view = net.links()
     equal_split = inc is None
     if equal_split:
         if total_distortion is None:
             raise InputError("either a total distortion or a per-link map is required")
         _require_budget(total_distortion)
         _require_links(net)
-        n = len(net.sources)
-        inc = {i: total_distortion / n for i in net.sources}
-    # The one validation of the map (an equal split's D/n can underflow to 0).
-    inc = normalize_link_map(net, inc, "incremental distortions")
-    view = net.links()
-    profile = _derive(view, inc)
+        # The one check of the split (D/n can underflow to 0).
+        inc = view.positive(view.split(total_distortion), "incremental distortions")
+    else:
+        inc = view.read(inc, "incremental distortions")
+    tx, rx, _, total = _accumulate(view, inc)
     if not equal_split:
-        total_distortion = profile.total
-    outer = _outer_bound(view, profile)
-    cut = cutset_bound(net, profile)
+        total_distortion = total
+    outer, _ = _outer_bound(view, inc, tx)
+    cut = fsum(_link_rates(view, rx))
     closed = outer_bound_closed_form(net, total_distortion)
-    inner = _inner_bound(view, inc, profile.total)
+    inner = _inner_bound(view, inc, total)
     # An equal split has just been rated, and checked, by the inner bound.
     minimized = inner.rate_bits if equal_split else inner_bound_minimized(net, total_distortion)
-    gap = gap_report(net, profile)
+    gap, _ = _outer_bound(view, inc, tx, rx)
     return BoundsReport(
         mode="aggregation",
         total_distortion=total_distortion,
-        outer_incremental_bits=outer.total_bits,
+        outer_incremental_bits=outer,
         cutset_bits=cut,
         outer_closed_form_bits=closed,
         inner_bits=inner.rate_bits,
         inner_minimized_bits=minimized,
-        gap_inner_outer_bits=inner.rate_bits - outer.total_bits,
-        gap_incremental_cutset_bits=gap.delta_r_bits,
+        gap_inner_outer_bits=inner.rate_bits - outer,
+        gap_incremental_cutset_bits=gap,
         per_link_rates_bits=inner.per_link_rate_bits,
         regime_warnings=tuple(_regime_warnings(view, inc).values()),
     )
@@ -576,25 +583,27 @@ def consensus_report(
     net: TreeNetwork, inc: Mapping[tuple[int, int], float], total_distortion: float
 ) -> BoundsReport:
     """Consensus :class:`BoundsReport` for an explicit per-edge profile."""
-    return _consensus_report(net, consensus_derive(net, inc), total_distortion)
+    view = _consensus_view(net)
+    inc = view.read(inc, "incremental distortions")
+    return _consensus_report(net, inc, _accumulate(view, inc)[0], total_distortion)
 
 
-def _consensus_report(net: TreeNetwork, profile: ConsensusProfile, total: float) -> BoundsReport:
-    # consensus_report on a profile made by consensus_derive.
+def _consensus_report(net: TreeNetwork, inc: list, tx: list, total: float) -> BoundsReport:
+    # consensus_report for checked distortions and their upstream sums.
     view = net.links(True)
-    outer = _outer_bound(view, profile)
-    inner = _inner_bound(view, profile.inc, profile.total)
+    outer, _ = _outer_bound(view, inc, tx)
+    inner = _inner_bound(view, inc, total)
     return BoundsReport(
         mode="consensus",
         total_distortion=total,
-        outer_incremental_bits=outer.total_bits,
+        outer_incremental_bits=outer,
         cutset_bits=None,
         outer_closed_form_bits=None,
         inner_bits=inner.rate_bits,
         inner_minimized_bits=None,
-        gap_inner_outer_bits=inner.rate_bits - outer.total_bits,
+        gap_inner_outer_bits=inner.rate_bits - outer,
         gap_incremental_cutset_bits=None,
         per_link_rates_bits=inner.per_link_rate_bits,
         classical_comparator_bits=classical_consensus_comparator_bits(net.n_nodes, total),
-        regime_warnings=tuple(_regime_warnings(view, profile.inc).values()),
+        regime_warnings=tuple(_regime_warnings(view, inc).values()),
     )

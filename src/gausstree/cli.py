@@ -215,14 +215,13 @@ def gap_sweep(n_values: Iterable[int], d_values: Iterable[float]) -> list[dict]:
     for n in lengths:
         if n < 1:
             raise InputError(f"line length must be positive, got {n}")
-        net = make_line(n, [1.0] * n)
+        view = make_line(n, [1.0] * n).links()
         asymptote = bounds.line_gap_asymptote(n)
         for d_total in sorted(set(d_values)):
             allocation._check_budget(d_total)
-            profile = bounds.derive_distortions(
-                net, {i: d_total / n for i in net.sources}
-            )
-            delta = bounds.gap_report(net, profile).delta_r_bits
+            inc = view.positive(view.split(d_total), "incremental distortions")
+            tx, rx, _, _ = bounds._accumulate(view, inc)
+            delta, _ = bounds._outer_bound(view, inc, tx, rx)
             rows.append(
                 {
                     "n": n,
@@ -250,10 +249,15 @@ def _cmd_bounds(args) -> int:
 def _cmd_consensus_bounds(args) -> int:
     net = _load_tree(args.tree)
     if args.d_per_link or args.D is None:
-        profile = bounds.consensus_derive(net, _consensus_d(args, net))
+        edges = _consensus_d(args, net)
+        view = bounds._consensus_view(net)
+        inc = view.read(edges, "incremental distortions")
+        tx, _, _, total = bounds._accumulate(view, inc)
     else:
         profile = allocation.allocate_consensus(net, args.D).profile
-    report = bounds._consensus_report(net, profile, profile.total)
+        view, total = net.links(True), profile.total
+        inc, tx = view.listed(profile.inc), view.listed(profile.tx)
+    report = bounds._consensus_report(net, inc, tx, total)
     _emit(args, report.to_json_dict(), report.to_csv_rows())
     return 0
 
@@ -317,14 +321,14 @@ def _cmd_gap_sweep(args) -> int:
 
 def _default_d(view: LinkSet, fraction: float = 0.1) -> dict:
     """Every link describes ``fraction`` of its test-channel variance."""
-    d: dict = {}
+    d = [0.0] * len(view.keys)
 
-    def describe(link, var: float) -> float:
-        d[link] = fraction * var
-        return var - d[link]
+    def describe(k: int, var: float) -> float:
+        d[k] = fraction * var
+        return var - d[k]
 
     view.variances(describe)
-    return d
+    return view.keyed(d)
 
 
 _MODE_D = {"aggregation": _aggregation_d, "consensus": _consensus_d}

@@ -27,32 +27,33 @@ neighbours ``k`` of ``b``.
 
 :meth:`TreeNetwork.links` is the one place the mode is decided (the
 cascade is mode-free): it returns the mode's :class:`LinkSet`, built on
-first use, and every per-link recursion is one call of its
-:meth:`~LinkSet.fold`.
-That evaluates ``step(link, src, fed)`` once per link, after every link
-that feeds it: in aggregation over the uplinks ``i -> parent(i)`` (keyed
-by ``i``) leaves-first, in consensus over all directed links in
-:attr:`LinkCascade.order`; ``fed`` holds the feeding links' results
-ascending by source node.  Steps that draw random numbers or raise on
-the first bad link depend on this order, and each step does its own
-arithmetic.  The sequential test-channel recursion
-:meth:`LinkSet.variances` is the one fold that adds: a link's variance is
-its source's squared weight plus ``pass_on(k, variance_k)`` of each
-feeding link ``k``.  The carried, test-channel and quantizer-design
-variances and the CLI's default distortions are all calls of it.
+first use, which numbers the links ``0 .. L-1`` in ascending key order
+(the uplink ``i -> parent(i)`` keyed by ``i`` in aggregation, every
+directed link by ``(src, dst)`` in consensus).  Per-link values are
+sequences indexed by link; keys appear only where a caller's map enters,
+checked once by :meth:`LinkSet.read`, and where results leave
+(:meth:`LinkSet.keyed`).  Every per-link recursion is one call of
+:meth:`LinkSet.fold`: ``step(k, src, fed)`` once per link ``k``, in the
+view's ``order`` (uplinks leaves-first in aggregation,
+:attr:`LinkCascade.order` in consensus), with ``fed`` the results of the
+links into ``src`` but the one from ``dst``, ascending by source.  Steps
+that draw random numbers or raise on the first bad link depend on this
+order.  :meth:`LinkSet.variances` is the one fold that adds, the
+sequential test-channel recursion: a link's variance is its source's
+squared weight plus ``pass_on(j, variance_j)`` of each feeding link
+``j``.  A view keeps the ``2(n-1)`` links into each node, not the
+feeding links of each link, which number the sum of squared degrees.
 
-:meth:`LinkCascade.upstream_sums` and :meth:`LinkCascade.consensus_sums`
-sum values over the links in O(n) without a step per link: leaves-first
-every link ``c -> p`` collects the links that feed it, then root-first
-every link ``p -> c`` is rerooted as ``(all links into p) - (c -> p)``.
-
-Those folds are exact.  Every finite double is ``m * 2**e``, so the
-values are carried as integers over one common power-of-two
-denominator; integer sums and the rerooting subtraction lose nothing,
-and the one division ``num / 2**k`` per result is correctly rounded.
-Each result is therefore bit-identical to :func:`math.fsum` over the
-members it sums, and a sum too large for a double raises
-``OverflowError`` as ``fsum`` does (an ``InfeasibleError`` from a view).
+:meth:`LinkSet.sums` sums per-link values in O(n), one body for both
+modes: leaves-first every link ``i -> parent(i)`` collects the links
+into ``i``, then root-first every link ``p -> i`` is rerooted as ``(all
+links into p) - (i -> p)``.  The sums are exact.  Every finite double is
+``m * 2**e``, so the values are carried as integers over one common
+power-of-two denominator; integer sums and the rerooting subtraction
+lose nothing, and the one division ``num / 2**k`` per result is
+correctly rounded.  Each result is therefore bit-identical to
+:func:`math.fsum` over the members it sums, and a sum too large for a
+double raises :class:`~gausstree.errors.InfeasibleError`.
 
 Tree documents are UTF-8 JSON::
 
@@ -69,10 +70,10 @@ import json
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from math import fsum
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InfeasibleError, InputError
 
@@ -94,10 +95,11 @@ __all__ = [
     "subtree_stats",
 ]
 
-#: Hard cap on network size.  The link cascade and the exact distortion
-#: sums are O(n) plus one O(n log n) sort; a consensus fold, so every
-#: consensus variance recursion, visits each neighbour of a link's source:
-#: O(sum of squared degrees), quadratic on a star.  The exact oracle is dense.
+#: Hard cap on network size.  The link cascade, the link views and the
+#: exact distortion sums are O(n) plus one O(n log n) sort; a consensus
+#: fold, so every consensus variance recursion, reads every link into a
+#: link's source: O(sum of squared degrees), quadratic on a star.  The
+#: exact oracle is dense.
 MAX_NODES = 10_000
 
 
@@ -177,10 +179,10 @@ class LinkCascade:
     Indexed by node id: ``parent`` (-1 at the root) and the ascending
     ``children`` and ``neighbors``.  ``postorder`` lists the nodes
     children-first with the root last, so node ``i``'s subtree is the
-    ``subtree_size[i]`` entries ending at ``position[i]``.  ``size``
-    counts the nodes on the ``src`` side of every directed link,
-    ``order`` lists the links by ``(size, link)``, which puts every link
-    after the links that feed it, and ``edges`` by ``(src, dst)``.
+    ``subtree_size[i]`` entries ending at ``position[i]``.  ``size(link)``
+    counts the nodes on the ``src`` side of a directed link, ``order``
+    lists the links by ``(size, link)``, which puts every link after the
+    links that feed it, and ``edges`` by ``(src, dst)``.
     """
 
     def __init__(self, root: int, parents: Mapping[int, int]) -> None:
@@ -217,41 +219,59 @@ class LinkCascade:
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        # Built on first use: only consensus and directed trees read them.
+        # Built on first use: only directed trees read them.
         return tuple(
             kids if up < 0 else tuple(sorted((up, *kids)))
             for up, kids in zip(self.parent, self.children)
         )
 
-    @cached_property
-    def size(self) -> dict[DirectedEdge, int]:
-        n = len(self.postorder)
-        size: dict[DirectedEdge, int] = {}
-        for i in self.postorder[:-1]:
-            size[DirectedEdge(i, self.parent[i])] = self.subtree_size[i]
-            size[DirectedEdge(self.parent[i], i)] = n - self.subtree_size[i]
-        return size
+    def size(self, edge: tuple[int, int]) -> int:
+        src, dst = edge
+        if self.parent[src] == dst:
+            return self.subtree_size[src]
+        return len(self.parent) - self.subtree_size[dst]
 
     @cached_property
     def order(self) -> tuple[DirectedEdge, ...]:
-        size = self.size
-        return tuple(sorted(size, key=lambda e: (size[e], e)))
+        return tuple(sorted(self.edges, key=lambda e: (self.size(e), e)))
 
     @cached_property
     def edges(self) -> tuple[DirectedEdge, ...]:
-        return tuple(sorted(self.size))
+        up = [DirectedEdge(i, self.parent[i]) for i in self.postorder[:-1]]
+        return tuple(sorted(up + [e.reversed() for e in up]))
 
-    def multiplicity(self, edge: DirectedEdge) -> int:
+    def multiplicity(self, edge: tuple[int, int]) -> int:
         """Number of roots whose directed tree uses ``edge``: the nodes on
         its ``dst`` side."""
-        return len(self.postorder) - self.size[edge]
+        return len(self.parent) - self.size(edge)
+
+    def node(self, value: object) -> int:
+        """``value`` as the id of a node of the tree."""
+        node = _check_node_id(value, "node id")
+        if node >= len(self.parent):
+            raise TreeError(f"unknown node id {node}")
+        return node
+
+    def link(self, edge: object) -> DirectedEdge:
+        """``edge`` as a directed link of the tree."""
+        try:
+            src, dst = edge
+        except (TypeError, ValueError):
+            raise TreeError(f"expected a (src, dst) pair, got {edge!r}") from None
+        e = DirectedEdge(_check_node_id(src, "edge source"), _check_node_id(dst, "edge target"))
+        for node in e:
+            if node >= len(self.parent):
+                raise TreeError(f"unknown node id {node}")
+        if self.parent[e.src] != e.dst and self.parent[e.dst] != e.src:
+            raise TreeError(f"nodes {e.src} and {e.dst} are not adjacent")
+        return e
 
     def subtree(self, i: int) -> tuple[int, ...]:
         """Node ``i`` and its descendants under the stored root."""
         end = self.position[i] + 1
         return self.postorder[end - self.subtree_size[i] : end]
 
-    def members(self, edge: DirectedEdge) -> tuple[int, ...]:
+    def members(self, edge: tuple[int, int]) -> tuple[int, ...]:
         """Nodes on the ``src`` side of an existing directed link."""
         src, dst = edge
         if self.parent[src] == dst:
@@ -259,133 +279,157 @@ class LinkCascade:
         end = self.position[dst] + 1
         return self.postorder[: end - self.subtree_size[dst]] + self.postorder[end:]
 
-    def upstream_sums(self, values: Mapping[int, float]) -> dict[int, float]:
-        """``values`` summed over the strict subtree of every non-root
-        node, keyed by ascending node id; each sum equals ``fsum`` over
-        its members (see the module docstring)."""
-        nodes, parent, root = self.postorder[:-1], self.parent, self.postorder[-1]
-        num, den = _fixed_point([values[i] for i in nodes])
-        below = [0] * len(self.postorder)
-        for i, m in zip(nodes, num):
-            below[parent[i]] += below[i] + m
-        return {i: below[i] / den for i in range(len(below)) if i != root}
-
-    def consensus_sums(
-        self, values: Mapping[DirectedEdge, float]
-    ) -> tuple[dict[DirectedEdge, float], dict[int, float]]:
-        """Exact sums of per-link ``values`` for consensus.
-
-        Returns ``(tx, per_root)``: ``tx[b -> a]`` sums the links strictly
-        upstream of ``b -> a`` in the directed tree towards ``a`` (keyed
-        in :attr:`order`), and ``per_root[k]`` sums the whole directed tree
-        towards ``k`` (keyed by ascending node id).  Leaves-first, every
-        link ``i -> parent(i)`` collects its subtree; root-first, the
-        links into a node are rerooted as ``into[p] - rx(c -> p)``.
-        """
-        nodes, parent, k = self.postorder[:-1], self.parent, len(self.postorder) - 1
-        num, den = _fixed_point(
-            [values[i, parent[i]] for i in nodes] + [values[parent[i], i] for i in nodes]
-        )
-        up_num, down_num = num[:k], num[k:]
-        up_rx = [0] * (k + 1)  # exact rx(i -> parent(i)); per_root at the root
-        for i, m in zip(nodes, up_num):
-            up_rx[i] += m
-            up_rx[parent[i]] += up_rx[i]
-        into = up_rx[:]  # exact per_root: rx summed over the links into each node
-        tx: dict[tuple[int, int], int] = {}
-        for j in reversed(range(k)):
-            i = nodes[j]
-            p = parent[i]
-            tx[i, p] = up_rx[i] - up_num[j]
-            tx[p, i] = into[p] - up_rx[i]
-            into[i] = tx[i, p] + tx[p, i] + down_num[j]
-        return (
-            {e: tx[e] / den for e in self.order},
-            {k: into[k] / den for k in range(len(into))},
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class LinkSet:
-    """One mode's links: the ``keys`` ascending (the non-root node ids of
-    the uplinks in aggregation, the :class:`DirectedEdge` s in consensus),
-    per key the squared weight of its source (``own``), the ``observers``
-    with data and the ``sinks`` that estimate the whole sum.  Aggregation
-    is consensus restricted to the directed tree towards its one sink, the
-    root.  Every per-link recursion is a :meth:`fold` over the view."""
+    """One mode's links, numbered ``0 .. L-1`` in ascending ``keys`` order
+    (see the module docstring); ``index`` maps a key to its link.  Per
+    link: ``src``, ``dst``, the source's squared weight ``own``, the
+    multiplicity ``mult`` (the sinks whose directed tree uses the link, 1
+    in aggregation) and the variance it ``carried``.  Per node id:
+    ``into``, the links into it ascending by source.  ``order`` is the fold
+    order, ``up`` the links ``i -> parent(i)`` leaves-first and ``down``
+    their reverses (none in aggregation).  The ``observers`` have data and
+    the ``sinks`` estimate the whole sum: aggregation is consensus
+    restricted to the directed tree towards its one sink, the root."""
 
     mode: str
     cascade: LinkCascade = field(repr=False)
     keys: tuple
-    own: Mapping = field(repr=False)
+    src: tuple[int, ...] = field(repr=False)
+    dst: tuple[int, ...] = field(repr=False)
+    own: tuple[float, ...] = field(repr=False)
+    mult: tuple[int, ...] = field(repr=False)
+    fold_order: InitVar[Sequence]  # the keys in fold order
     observers: tuple[int, ...]
     sinks: tuple[int, ...]
+    index: dict = field(init=False, repr=False)
+    into: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    order: tuple[int, ...] = field(init=False, repr=False)
+    up: tuple[int, ...] = field(init=False, repr=False)
+    down: tuple[int, ...] = field(init=False, repr=False)
     #: The partial-sum variance each link carries (every link passes on all),
     #: a plain attribute because the bound loops read it once per link.
-    carried: dict = field(init=False, repr=False)
+    carried: list[float] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "carried", self.variances(lambda link, var: var))
+    def __post_init__(self, fold_order: Sequence) -> None:
+        parent, position = self.cascade.parent, self.cascade.position
+        index = {key: k for k, key in enumerate(self.keys)}
+        into: list[list[int]] = [[] for _ in parent]
+        up: list = [None] * (len(parent) - 1)  # by the position of the link's child
+        down = up[:]
+        for k, (src, dst) in enumerate(zip(self.src, self.dst)):
+            into[dst].append(k)  # ascending keys list every node's links by source
+            if parent[src] == dst:
+                up[position[src]] = k
+            else:
+                down[position[dst]] = k
+        vars(self).update(
+            index=index,
+            into=tuple(map(tuple, into)),
+            order=tuple(index[key] for key in fold_order),
+            up=tuple(up),
+            down=tuple(k for k in down if k is not None),
+        )
+        vars(self)["carried"] = self.variances(lambda k, var: var)
 
-    @cached_property
-    def edge(self) -> dict:
-        """Every key's link as a :class:`DirectedEdge`."""
-        if self.mode == "consensus":
-            return {e: e for e in self.keys}
-        return {i: DirectedEdge(i, self.cascade.parent[i]) for i in self.keys}
-
-    @cached_property
-    def into(self) -> tuple[tuple, ...]:
-        """Per node id, the keys of the links into it, ascending by source."""
-        if self.mode == "consensus":
-            return tuple(
-                tuple(DirectedEdge(k, node) for k in nbrs)
-                for node, nbrs in enumerate(self.cascade.neighbors)
-            )
-        return self.cascade.children
-
-    def fold(self, step: Callable[[object, int, list], object]) -> dict:
-        """``step(link, src, fed)`` once per link, every link after its
-        feeding links (see the module docstring); returns the results keyed
-        by link in visiting order."""
-        out: dict = {}
-        cascade = self.cascade
-        if self.mode == "consensus":
-            neighbors = cascade.neighbors
-            for link in cascade.order:
-                src, dst = link
-                out[link] = step(link, src, [out[k, src] for k in neighbors[src] if k != dst])
-        else:
-            children = cascade.children
-            for i in cascade.postorder[:-1]:
-                out[i] = step(i, i, [out[c] for c in children[i]])
+    def fold(self, step: Callable[[int, int, list], object]) -> list:
+        """``step(k, src, fed)`` once per link ``k``, every link after its
+        feeding links (see the module docstring); returns the results
+        indexed by link."""
+        src, dst, into = self.src, self.dst, self.into
+        out: list = [None] * len(src)
+        for k in self.order:
+            s, t = src[k], dst[k]
+            out[k] = step(k, s, [out[j] for j in into[s] if src[j] != t])
         return out
 
-    def variances(self, pass_on: Callable[[object, float], float]) -> dict:
+    def variances(self, pass_on: Callable[[int, float], float]) -> list[float]:
         """The sequential test-channel recursion: every link's variance is
-        ``own`` plus ``pass_on(k, variance_k)`` of each feeding link ``k``,
+        ``own`` plus ``pass_on(j, variance_j)`` of each feeding link ``j``,
         summed by :func:`math.fsum`; ``pass_on`` may raise to refuse a link."""
-        own, var = self.own, {}
+        own, var = self.own, [0.0] * len(self.own)
 
-        def step(link, src: int, fed: list) -> float:
-            var[link] = v = fsum([own[link], *fed])
-            return pass_on(link, v)
+        def step(k: int, src: int, fed: list) -> float:
+            var[k] = v = fsum([own[k], *fed])
+            return pass_on(k, v)
 
         self.fold(step)
         return var
 
-    def sums(self, values: Mapping) -> tuple[dict, dict[int, float], float]:
-        """Exact ``(tx, per_root, total)``: ``values`` summed over the links
-        strictly upstream of each key, towards each sink, and in all; a sum
-        beyond the float range raises :class:`~gausstree.errors.InfeasibleError`."""
+    def sums(self, values: Sequence[float]) -> tuple[list[float], list[float], float]:
+        """Exact ``(tx, per_sink, total)``: ``values`` summed over the links
+        strictly upstream of each link, over the directed tree towards each
+        sink (in ``sinks`` order), and in all; a sum beyond the float range
+        raises :class:`~gausstree.errors.InfeasibleError`."""
+        src, dst, up = self.src, self.dst, self.up
         try:
-            if self.mode == "consensus":
-                tx, per_root = self.cascade.consensus_sums(values)
-                return tx, per_root, fsum(per_root.values())
-            total = fsum(values[i] for i in self.keys)
-            return self.cascade.upstream_sums(values), {self.sinks[0]: total}, total
+            num, den = _fixed_point(values)
+            rx_into, tx = [0] * len(self.into), [0] * len(num)
+            for k in up:  # leaves-first: every link into a source is summed already
+                tx[k] = rx_into[src[k]]
+                rx_into[dst[k]] += tx[k] + num[k]
+            for u, k in zip(reversed(up), reversed(self.down)):  # root-first rerooting
+                tx[k] = rx_into[src[k]] - tx[u] - num[u]
+                rx_into[dst[k]] += tx[k] + num[k]
+            per_sink = [rx_into[i] / den for i in self.sinks]
+            return [t / den for t in tx], per_sink, fsum(per_sink)
         except OverflowError:
             raise InfeasibleError("the distortions summed along the links overflow") from None
+
+    def read(self, values: Mapping, what: str) -> list[float]:
+        """A caller's per-link map as floats indexed by link.  Refuses, as
+        :class:`~gausstree.errors.InputError`, the first key that names no
+        link (in the caller's order), then any link left out, then the
+        first value that is not positive and finite (in the caller's order)."""
+        noun, shown, link_of = _LINK_KEYS[self.mode]
+        table = {link_of(self, key, what): float(value) for key, value in values.items()}
+        missing = [shown(key) for k, key in enumerate(self.keys) if k not in table]
+        if missing:
+            raise InputError(f"{what}: missing entries for {noun}s {missing}")
+        return self.positive([table[k] for k in range(len(self.keys))], what, table)
+
+    def positive(self, values: list[float], what: str, order: Iterable[int] = ()) -> list[float]:
+        """``values``, once each is positive and finite; checked in
+        ``order``, else in link order."""
+        for k in order or range(len(values)):
+            if not 0.0 < values[k] < math.inf:
+                noun = _LINK_KEYS[self.mode][0]
+                raise InputError(
+                    f"{what}: {noun} {self.keys[k]} must be positive and finite, got {values[k]!r}"
+                )
+        return values
+
+    def split(self, total: float) -> list[float]:
+        """``total`` split equally over the links."""
+        return [total / len(self.keys)] * len(self.keys) if self.keys else []
+
+    def listed(self, mapping: Mapping) -> list:
+        """A map the library keyed by link (a profile, a rate map), indexed by link."""
+        return [mapping[key] for key in self.keys]
+
+    def keyed(self, values: Sequence) -> dict:
+        """Per-link ``values`` keyed by link, in ascending key order."""
+        return dict(zip(self.keys, values))
+
+
+def _uplink(view: LinkSet, key: object, what: str) -> int:
+    # An aggregation key: any node but the root, whose uplink it names.  A
+    # plain int that names a link needs no further check.
+    link = view.index.get(key) if type(key) is int else None
+    if link is None:
+        link = view.index.get(view.cascade.node(key))
+    if link is None:
+        raise InputError(f"{what}: the root has no uplink")
+    return link
+
+
+#: Per mode: how a diagnostic names a link and shows its key, and how a
+#: caller's key is read into a link.
+_LINK_KEYS = {
+    "aggregation": ("node", int, _uplink),
+    "consensus": ("edge", str, lambda view, key, what: view.index[view.cascade.link(key)]),
+}
 
 
 @dataclass(frozen=True)
@@ -479,7 +523,7 @@ class TreeNetwork:
         return self.cascade.children
 
     def children_of(self, i: int) -> tuple[int, ...]:
-        self._require_node(i)
+        self.cascade.node(i)
         return self.children[i]
 
     @property
@@ -493,13 +537,8 @@ class TreeNetwork:
 
     def weight(self, i: int) -> float:
         """Weight of node ``i``; an unweighted aggregation sink reads as 0."""
-        self._require_node(i)
+        self.cascade.node(i)
         return self.weights.get(i, 0.0)
-
-    def _require_node(self, i: int) -> None:
-        node = _check_node_id(i, "node id")
-        if node >= self.n_nodes:
-            raise TreeError(f"unknown node id {node}")
 
     @property
     def leaves_first(self) -> tuple[int, ...]:
@@ -509,38 +548,26 @@ class TreeNetwork:
     # -- subtrees and variances ------------------------------------------
 
     def subtree_members(self, i: int) -> frozenset[int]:
-        self._require_node(i)
+        self.cascade.node(i)
         return frozenset(self.cascade.subtree(i))
 
     @cached_property
     def subtree_variances(self) -> dict[int, float]:
         """Partial-sum variance of every subtree, the root's last."""
-        var, root = dict(self.links().carried), self.root
-        var[root] = fsum([self.weights.get(root, 0.0) ** 2, *(var[c] for c in self.children[root])])
+        view, w = self.links(), self.weights.get(self.root, 0.0)
+        var = view.keyed(view.carried)
+        var[self.root] = fsum([w * w, *(view.carried[k] for k in view.into[self.root])])
         return var
-
-    def _require_adjacent(self, edge: tuple[int, int]) -> DirectedEdge:
-        try:
-            src, dst = edge
-        except (TypeError, ValueError):
-            raise TreeError(f"expected a (src, dst) pair, got {edge!r}") from None
-        e = DirectedEdge(_check_node_id(src, "edge source"), _check_node_id(dst, "edge target"))
-        for node in e:
-            if node >= self.n_nodes:
-                raise TreeError(f"unknown node id {node}")
-        parent = self.cascade.parent
-        if parent[e.src] != e.dst and parent[e.dst] != e.src:
-            raise TreeError(f"nodes {e.src} and {e.dst} are not adjacent")
-        return e
 
     def oriented_members(self, edge: tuple[int, int]) -> frozenset[int]:
         """Component of ``src`` once the undirected edge {src, dst} is cut."""
-        return frozenset(self.cascade.members(self._require_adjacent(edge)))
+        return frozenset(self.cascade.members(self.cascade.link(edge)))
 
-    @property
+    @cached_property
     def oriented_variances(self) -> dict[DirectedEdge, float]:
         """Partial-sum variance of every oriented subtree, keyed by link."""
-        return self.links(True).carried
+        view = self.links(True)
+        return view.keyed(view.carried)
 
     def links(self, consensus: bool = False) -> LinkSet:
         """The aggregation or, with ``consensus``, the consensus
@@ -549,16 +576,23 @@ class TreeNetwork:
 
     @cached_property
     def _aggregation_links(self) -> LinkSet:
-        # w * w, not w ** 2: pow is not always correctly rounded.
-        sources, own = self.sources, {i: self.weights[i] * self.weights[i] for i in self.sources}
-        return LinkSet("aggregation", self.cascade, sources, own, sources, (self.root,))
+        cascade, sources, w = self.cascade, self.sources, self.weights
+        return LinkSet(
+            "aggregation", cascade, sources, sources, tuple(cascade.parent[i] for i in sources),
+            # w * w, not w ** 2: pow is not always correctly rounded.
+            tuple(w[i] * w[i] for i in sources), (1,) * len(sources),
+            cascade.postorder[:-1], sources, (self.root,),
+        )
 
     @cached_property
     def _consensus_links(self) -> LinkSet:
-        edges, nodes = self.cascade.edges, self.node_ids
+        cascade, edges, nodes = self.cascade, self.cascade.edges, self.node_ids
         squares = {i: w * w for i, w in self.weights.items()}
-        own = {e: squares.get(e.src, 0.0) for e in edges}
-        return LinkSet("consensus", self.cascade, edges, own, nodes, nodes)
+        return LinkSet(
+            "consensus", cascade, edges, tuple(e.src for e in edges), tuple(e.dst for e in edges),
+            tuple(squares.get(e.src, 0.0) for e in edges),
+            tuple(cascade.multiplicity(e) for e in edges), cascade.order, nodes, nodes,
+        )
 
     @property
     def directed_edge_order(self) -> tuple[DirectedEdge, ...]:
@@ -665,7 +699,7 @@ def directed_tree(net: TreeNetwork, k: int) -> tuple[DirectedEdge, ...]:
     Exactly ``n_nodes - 1`` edges; ``(i -> j)`` is present iff ``j`` is
     the parent of ``i`` once the tree is re-rooted at ``k``.
     """
-    net._require_node(k)
+    net.cascade.node(k)
     edges = []
     seen = {k}
     queue = deque([k])
@@ -687,8 +721,8 @@ def oriented_subtree_stats(net: TreeNetwork, edge: tuple[int, int]) -> SubtreeSt
     zero variance; consensus computations require fully weighted networks
     and enforce that separately.
     """
-    e = net._require_adjacent(edge)
-    return SubtreeStats(frozenset(net.cascade.members(e)), net.oriented_variances[e])
+    e, view = net.cascade.link(edge), net.links(True)
+    return SubtreeStats(frozenset(net.cascade.members(e)), view.carried[view.index[e]])
 
 
 def edge_multiplicity(net: TreeNetwork, edge: tuple[int, int]) -> int:
@@ -696,46 +730,9 @@ def edge_multiplicity(net: TreeNetwork, edge: tuple[int, int]) -> int:
 
     Equals the number of nodes on the ``dst`` side of the cut.
     """
-    return net.cascade.multiplicity(net._require_adjacent(edge))
+    return net.cascade.multiplicity(net.cascade.link(edge))
 
 
 def directed_edges(net: TreeNetwork) -> tuple[DirectedEdge, ...]:
     """All 2(n-1) directed edges in ascending ``(src, dst)`` order."""
     return net.cascade.edges
-
-
-def normalize_edge_map(
-    net: TreeNetwork, values: Mapping[tuple[int, int], float], what: str
-) -> dict[DirectedEdge, float]:
-    """Validate a per-directed-edge map: full coverage, positive entries."""
-    table = {net._require_adjacent(key): float(value) for key, value in values.items()}
-    missing = [e for e in directed_edges(net) if e not in table]
-    if missing:
-        raise InputError(f"{what}: missing entries for edges {[str(e) for e in missing]}")
-    return _require_positive(table, what, "edge")
-
-
-def normalize_link_map(
-    net: TreeNetwork, values: Mapping[int, float], what: str
-) -> dict[int, float]:
-    """Validate a per-link (per non-root node) map: coverage, positivity."""
-    table: dict[int, float] = {}
-    for key, value in values.items():
-        net._require_node(key)
-        if key == net.root:
-            raise InputError(f"{what}: the root has no uplink")
-        table[int(key)] = float(value)
-    missing = [i for i in net.sources if i not in table]
-    if missing:
-        raise InputError(f"{what}: missing entries for nodes {missing}")
-    return _require_positive(table, what, "node")
-
-
-def _require_positive(table: dict, what: str, word: str) -> dict:
-    # ``table``, once every value is positive and finite.
-    for key, v in table.items():
-        if not math.isfinite(v) or v <= 0.0:
-            raise InputError(f"{what}: {word} {key} must be positive and finite, got {v!r}")
-    return table
-
-

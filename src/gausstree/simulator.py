@@ -43,7 +43,7 @@ import math
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
 from math import fsum
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -248,35 +248,32 @@ def analytic_mmse_check(
     consensus checks every directed edge, and every node is a sink.
     """
     if mode == "consensus":
-        sigma_hat = bounds.consensus_test_channel_variances(net, d)
+        view = bounds._consensus_view(net)
     elif mode == "aggregation":
         bounds._require_links(net)
-        sigma_hat = bounds.test_channel_variances(net, d)
+        view = net.links()
     else:
         raise InputError(f"unknown mode {mode!r}")
-    view = net.links(mode == "consensus")
-    nodes, links, edge, into = view.observers, view.keys, view.edge, view.into
+    d = view.read(d, "distortion parameters")
+    sigma_hat = bounds._test_channel_variances(view, d)
+    nodes, links, src, dst, into = view.observers, view.keys, view.src, view.dst, view.into
     link_name, sink_name, sink_distortion = _ORACLE_NAMES[mode]
-    d = {link: float(d[link]) for link in links}
-    laws = {link: test_channel_law(sigma_hat[link], d[link]) for link in links}
+    laws = [test_channel_law(s2, dk) for s2, dk in zip(sigma_hat, d)]
     downstream, sink_ref, _ = view.sums(d)
 
     # Primitives: one unit-variance source per observing node, then one
     # test-channel noise per link.
-    system = _LinearGaussian(
-        [1.0] * len(nodes) + [laws[link].conditional_variance for link in links]
-    )
+    system = _LinearGaussian([1.0] * len(nodes) + [law.conditional_variance for law in laws])
     for k, i in enumerate(nodes):
         system.rows[("x", i)] = system.basis(k)
-    w_index = {link: len(nodes) + k for k, link in enumerate(links)}
 
-    def describe(link, src: int, fed: list) -> np.ndarray:
+    def describe(k: int, source: int, fed: list) -> np.ndarray:
         # A link's estimate U is its source's weighted data plus the
         # descriptions fed in; its description is V = gain * U + noise.
-        row = _sum_into(net.weights[src] * system.rows[("x", src)], fed)
-        system.rows[("U", link)] = row
-        system.rows[("V", link)] = laws[link].gain * row + system.basis(w_index[link])
-        return system.rows[("V", link)]
+        row = _sum_into(net.weights[source] * system.rows[("x", source)], fed)
+        system.rows[("U", links[k])] = row
+        system.rows[("V", links[k])] = laws[k].gain * row + system.basis(len(nodes) + k)
+        return system.rows[("V", links[k])]
 
     view.fold(describe)
 
@@ -290,18 +287,17 @@ def analytic_mmse_check(
     def info_at(node: int, excluding: int | None = None) -> list:
         # The descriptions into ``node`` (except the one from ``excluding``),
         # then the node's own data when it observes.
-        keys: list = [("V", link) for link in into[node] if edge[link].src != excluding]
+        keys: list = [("V", links[j]) for j in into[node] if src[j] != excluding]
         if ("x", node) in system.rows:
             keys.append(("x", node))
         return keys
 
     inc, tx, rx, receiver_gains, receiver_info = {}, {}, {}, {}, {}
     error_rows = []
-    for link in links:
-        src, dst = edge[link]
-        target = partial_sum_row(view.cascade.members(edge[link]))
-        _, est_tx, tx[link] = system.condition(target, info_at(src, excluding=dst))
-        dst_info = info_at(dst)
+    for k, link in enumerate(links):
+        target = partial_sum_row(view.cascade.members((src[k], dst[k])))
+        _, est_tx, tx[link] = system.condition(target, info_at(src[k], excluding=dst[k]))
+        dst_info = info_at(dst[k])
         gain, est_rx, rx[link] = system.condition(target, dst_info)
         receiver_gains[link] = gain
         receiver_info[link] = tuple(dst_info)
@@ -310,23 +306,23 @@ def analytic_mmse_check(
         error_rows.append(diff)
 
         name = link_name.format(link)
-        _relative_check(f"{name}: incremental distortion", inc[link], d[link], d[link])
-        _relative_check(f"{name}: transmit distortion", tx[link], downstream[link], rx[link])
+        _relative_check(f"{name}: incremental distortion", inc[link], d[k], d[k])
+        _relative_check(f"{name}: transmit distortion", tx[link], downstream[k], rx[link])
         _relative_check(f"{name}: receive distortion", rx[link], tx[link] + inc[link], rx[link])
 
     full_row = partial_sum_row(net.node_ids)
     per_root: dict[int, float] = {}
-    for k in view.sinks:
+    for k, ref in zip(view.sinks, sink_ref):
         _, est, per_root[k] = system.condition(full_row, info_at(k))
         # The MMSE estimate must literally be what the coding scheme
         # outputs: the received descriptions plus the sink's own data.
         own = net.weights[k] * system.rows[("x", k)] if ("x", k) in system.rows else 0
-        output = _sum_into(own, [system.rows[("V", link)] for link in into[k]])
+        output = _sum_into(own, [system.rows[("V", links[j])] for j in into[k]])
         if system.variance(est - output) > _IDENTITY_TOL:
             where = sink_name.format(k)
             raise ConsistencyError(f"{where} estimate differs from the description sum")
         name = sink_distortion.format(k)
-        _relative_check(name, per_root[k], sink_ref[k], sink_ref[k])
+        _relative_check(name, per_root[k], ref, ref)
 
     error_stack = np.vstack(error_rows)
     keys = [("x", i) for i in nodes] + [(kind, link) for kind in "VU" for link in links]
@@ -426,12 +422,10 @@ def _row_means(block: np.ndarray) -> np.ndarray:
     return np.add.reduce(block, axis=1, dtype=np.float64) / block.shape[1]
 
 
-def _means_and_cis(samples: Mapping[object, np.ndarray]) -> tuple[dict, dict]:
-    """Mean over the trials and its 3-sigma half-width, for every key."""
-    means, cis = {}, {}
-    for key, values in samples.items():
-        means[key] = float(np.mean(values))
-        cis[key] = 3.0 * (float(np.std(values, ddof=1)) / math.sqrt(values.size))
+def _means_and_cis(samples: list[np.ndarray]) -> tuple[list, list]:
+    """Mean over the trials and its 3-sigma half-width, for every entry."""
+    means = [float(np.mean(values)) for values in samples]
+    cis = [3.0 * (float(np.std(values, ddof=1)) / math.sqrt(values.size)) for values in samples]
     return means, cis
 
 
@@ -439,7 +433,7 @@ def _monte_carlo(
     net: TreeNetwork,
     view: LinkSet,
     cfg: SimulationConfig,
-    encode: Callable[[Generator, range, object, np.ndarray], np.ndarray],
+    encode: Callable[[Generator, range, int, np.ndarray], np.ndarray],
     scheme: str,
     references: dict,
 ) -> SimulationResult:
@@ -450,7 +444,7 @@ def _monte_carlo(
     blocklength)`` blocks, fit in ``_CHUNK_FLOATS`` floats.  Each chunk
     draws every observing node's data, then folds once over the links: a
     link's estimate is its source's weighted data plus the descriptions
-    fed in, and ``encode(rng, trials, link, estimate)`` returns its
+    fed in, and ``encode(rng, trials, k, estimate)`` returns link ``k``'s
     description.  Then each sink adds the descriptions it receives to its
     own weighted data (an aggregation root has none) and its squared error
     against the target is recorded.  Per-link incremental distortions, estimate variances and
@@ -459,62 +453,63 @@ def _monte_carlo(
     trial's own streams through ``rng`` (see :func:`_stream`) and reduced
     on its own, so the output does not depend on the chunk size.
     """
-    nodes, links, sinks, into = view.observers, view.keys, view.sinks, view.into
-    weights, n_samples = net.weights, cfg.blocklength
+    nodes, sinks, into = view.observers, view.sinks, view.into
+    weights, n_samples, n_links = net.weights, cfg.blocklength, len(view.keys)
     rng = Generator(Philox(key=np.array([cfg.seed, 0], dtype=np.uint64)))
-    chunk = max(1, _CHUNK_FLOATS // (n_samples * max(1, len(nodes) + len(links))))
-    inc = {link: np.empty(cfg.trials) for link in links}
-    var = {link: np.empty(cfg.trials) for link in links}
-    sink_sq = {k: np.empty(cfg.trials) for k in sinks}
+    chunk = max(1, _CHUNK_FLOATS // (n_samples * max(1, len(nodes) + n_links)))
+    inc = [np.empty(cfg.trials) for _ in range(n_links)]
+    var = [np.empty(cfg.trials) for _ in range(n_links)]
+    sink_sq = [np.empty(cfg.trials) for _ in sinks]
     for start in range(0, cfg.trials, chunk):
         trials = range(start, min(start + chunk, cfg.trials))
         rows = slice(trials.start, trials.stop)
         data = {i: _normal_block(rng, cfg.seed, trials, _ROLE_SOURCE, i, n_samples) for i in nodes}
 
-        def transmit(link, src: int, fed: list) -> np.ndarray:
+        def transmit(k: int, src: int, fed: list) -> np.ndarray:
             estimate = _sum_into(weights[src] * data[src], fed)
-            description = encode(rng, trials, link, estimate)
-            inc[link][rows] = _row_means((estimate - description) ** 2)
-            var[link][rows] = _row_means(estimate**2)
+            description = encode(rng, trials, k, estimate)
+            inc[k][rows] = _row_means((estimate - description) ** 2)
+            var[k][rows] = _row_means(estimate**2)
             return description
 
         descriptions = view.fold(transmit)
         target = sum((weights[i] * data[i] for i in nodes), np.zeros((len(trials), n_samples)))
-        for k in sinks:
+        for sq, k in zip(sink_sq, sinks):
             own = weights[k] * data[k] if k in data else 0
-            estimate = _sum_into(own, [descriptions[link] for link in into[k]])
-            sink_sq[k][rows] = _row_means((target - estimate) ** 2)
+            estimate = _sum_into(own, [descriptions[j] for j in into[k]])
+            sq[rows] = _row_means((target - estimate) ** 2)
         del data, descriptions  # free this chunk's blocks before the next chunk draws
 
     inc_mean, inc_ci = _means_and_cis(inc)
     var_mean, var_ci = _means_and_cis(var)
     total, total_ci = _means_and_cis(sink_sq)
-    total_key = "per_node"
     if view.mode == "aggregation":  # the one sink's total, as a scalar
-        total, total_ci, total_key = total[net.root], total_ci[net.root], "total"
+        total, total_ci, total_key = total[0], total_ci[0], "total"
+    else:
+        total, total_ci, total_key = dict(zip(sinks, total)), dict(zip(sinks, total_ci)), "per_node"
     return SimulationResult(
         mode=view.mode,
         scheme=scheme,
         empirical_total=total,
-        per_link_incremental=inc_mean,
-        per_link_estimate_variance=var_mean,
+        per_link_incremental=view.keyed(inc_mean),
+        per_link_estimate_variance=view.keyed(var_mean),
         ci_halfwidth={
             total_key: total_ci,
-            "inc": inc_ci,
-            "estimate_variance": var_ci,
+            "inc": view.keyed(inc_ci),
+            "estimate_variance": view.keyed(var_ci),
         },
         references=references,
     )
 
 
-def _test_channel(cfg: SimulationConfig, laws: Mapping, entity: Mapping):
+def _test_channel(cfg: SimulationConfig, laws: list, entity: Sequence[int]):
     """Encoder drawing each description from the exact test-channel law
-    given the estimate; ``entity[link]`` keys the link's noise stream."""
+    given the estimate; ``entity[k]`` keys link ``k``'s noise stream."""
 
-    def encode(rng: Generator, trials: range, link, estimate: np.ndarray) -> np.ndarray:
-        law = laws[link]
+    def encode(rng: Generator, trials: range, k: int, estimate: np.ndarray) -> np.ndarray:
+        law = laws[k]
         noise = _normal_block(
-            rng, cfg.seed, trials, _ROLE_CHANNEL, entity[link], cfg.blocklength
+            rng, cfg.seed, trials, _ROLE_CHANNEL, entity[k], cfg.blocklength
         ) * math.sqrt(law.conditional_variance)
         return law.gain * estimate + noise
 
@@ -532,8 +527,8 @@ def simulate_aggregation(
     receives.  Per-link incremental distortions, per-link estimate
     variances and the end-to-end distortion are averaged over trials.
     """
-    sigma_hat = bounds.test_channel_variances(net, d)
-    return _simulate_test_channel(net, net.links(), sigma_hat, d, cfg)
+    view = net.links()
+    return _simulate_test_channel(net, view, view.read(d, "distortion parameters"), cfg)
 
 
 def simulate_consensus(
@@ -546,48 +541,45 @@ def simulate_consensus(
     weighted data.  Per-node distortions are reported against the sums of
     the distortion parameters along each node's directed tree.
     """
-    sigma_hat = bounds.consensus_test_channel_variances(net, d)
-    return _simulate_test_channel(net, net.links(True), sigma_hat, d, cfg)
+    view = bounds._consensus_view(net)
+    return _simulate_test_channel(net, view, view.read(d, "distortion parameters"), cfg)
 
 
 def _simulate_test_channel(
-    net: TreeNetwork, view: LinkSet, sigma_hat: Mapping, d: Mapping, cfg: SimulationConfig
+    net: TreeNetwork, view: LinkSet, d: list, cfg: SimulationConfig
 ) -> SimulationResult:
-    # simulate_aggregation or simulate_consensus once the test channel has
-    # been checked.  A link's noise stream is keyed by its source node in
+    # simulate_aggregation or simulate_consensus for checked distortion
+    # parameters.  A link's noise stream is keyed by its source node in
     # aggregation and by its rank among the directed edges in consensus.
-    d = {link: float(d[link]) for link in view.keys}
-    laws = {link: test_channel_law(sigma_hat[link], d[link]) for link in view.keys}
+    sigma_hat = bounds._test_channel_variances(view, d)
+    laws = [test_channel_law(s2, dk) for s2, dk in zip(sigma_hat, d)]
     _, per_root, total = view.sums(d)
-    references = {"total": total, "inc": d, "estimate_variance": sigma_hat}
+    references = {"total": total, "inc": view.keyed(d), "estimate_variance": view.keyed(sigma_hat)}
+    entity = view.src
     if view.mode == "consensus":
-        references["per_node"] = per_root
-        entity = {e: k for k, e in enumerate(view.keys)}
-    else:
-        entity = {i: i for i in view.keys}
+        references["per_node"] = dict(zip(view.sinks, per_root))
+        entity = range(len(d))
     encode = _test_channel(cfg, laws, entity)
     return _monte_carlo(net, view, cfg, encode, "test-channel", references)
 
 
-def _dither_design(net: TreeNetwork, rates: Mapping[int, float]):
+def _dither_design(view: LinkSet, rates: list):
     """Design variances, steps and clip ranges of the quantizer chain.
 
     Quantization noise adds ``step^2/12`` per described link, so the
     design variance recursion grows (rather than shrinks) downstream.
     """
-    step: dict[int, float] = {}
-    clip: dict[int, float] = {}
+    step, clip = [0.0] * len(rates), [0.0] * len(rates)
 
-    def design(node: int, variance: float) -> float:
-        rate = float(rates[node])
-        if not (rate >= 0.0 and math.isfinite(rate)):
-            raise InputError(f"link {node}: rate must be non-negative, got {rate!r}")
-        clip[node] = _DITHER_CLIP_SIGMAS * math.sqrt(variance)
-        step[node] = 2.0 * clip[node] / 2.0**rate if rate > 0.0 else 0.0
+    def design(k: int, variance: float) -> float:
+        if not (rates[k] >= 0.0 and math.isfinite(rates[k])):
+            raise InputError(f"link {view.keys[k]}: rate must be non-negative, got {rates[k]!r}")
+        clip[k] = _DITHER_CLIP_SIGMAS * math.sqrt(variance)
+        step[k] = 2.0 * clip[k] / 2.0 ** rates[k] if rates[k] > 0.0 else 0.0
         # A rate-0 link sends nothing, so it feeds no variance downstream.
-        return variance + step[node] ** 2 / 12.0 if rate > 0.0 else 0.0
+        return variance + step[k] ** 2 / 12.0 if rates[k] > 0.0 else 0.0
 
-    return net.links().variances(design), step, clip
+    return view.variances(design), step, clip
 
 
 def matched_test_channel_distortions(
@@ -595,14 +587,15 @@ def matched_test_channel_distortions(
 ) -> dict[int, float]:
     """Distortions the test-channel scheme achieves at the given rates:
     ``d_i = sigma_hat_i^2 * 4**(-R_i)`` along the variance recursion."""
-    d: dict[int, float] = {}
+    view = net.links()
+    d = [0.0] * len(view.keys)
 
-    def describe(node: int, sigma_hat: float) -> float:
-        d[node] = sigma_hat * 4.0 ** (-float(rates[node]))
-        return sigma_hat - d[node]
+    def describe(k: int, sigma_hat: float) -> float:
+        d[k] = sigma_hat * 4.0 ** (-float(rates[view.keys[k]]))
+        return sigma_hat - d[k]
 
-    net.links().variances(describe)
-    return d
+    view.variances(describe)
+    return view.keyed(d)
 
 
 def simulate_dithered_baseline(
@@ -619,36 +612,32 @@ def simulate_dithered_baseline(
     """
     if not isinstance(rates.profile, DistortionProfile):
         raise InputError("the dithered baseline runs on aggregation allocations")
-    rate_map = {i: float(rates.per_link_rate_bits[i]) for i in net.sources}
-    variance, step, clip = _dither_design(net, rate_map)
+    view = net.links()
+    rate = [float(r) for r in view.listed(rates.per_link_rate_bits)]
+    variance, step, clip = _dither_design(view, rate)
     n_samples = cfg.blocklength
-    saturated = {i: np.empty(cfg.trials) for i in net.sources}
+    saturated = [np.empty(cfg.trials) for _ in rate]
 
-    def quantize(rng: Generator, trials: range, node: int, estimate: np.ndarray) -> np.ndarray:
+    def quantize(rng: Generator, trials: range, k: int, estimate: np.ndarray) -> np.ndarray:
         rows = slice(trials.start, trials.stop)
-        if rate_map[node] > 0.0:
+        if rate[k] > 0.0:
             dither = np.empty_like(estimate)
             for row, trial in zip(dither, trials):
-                row[:] = _stream(rng, cfg.seed, trial, _ROLE_DITHER, node).uniform(
-                    -0.5 * step[node], 0.5 * step[node], n_samples
+                row[:] = _stream(rng, cfg.seed, trial, _ROLE_DITHER, view.src[k]).uniform(
+                    -0.5 * step[k], 0.5 * step[k], n_samples
                 )
             shifted = estimate + dither
-            saturated[node][rows] = _row_means(np.abs(shifted) > clip[node])
-            clipped = np.clip(shifted, -clip[node], clip[node])
-            return step[node] * np.round(clipped / step[node]) - dither
-        saturated[node][rows] = 0.0
+            saturated[k][rows] = _row_means(np.abs(shifted) > clip[k])
+            clipped = np.clip(shifted, -clip[k], clip[k])
+            return step[k] * np.round(clipped / step[k]) - dither
+        saturated[k][rows] = 0.0
         return np.zeros(estimate.shape)
 
-    nominal = {
-        i: step[i] ** 2 / 12.0 if rate_map[i] > 0.0 else variance[i]
-        for i in net.sources
-    }
+    nominal = [s**2 / 12.0 if r > 0.0 else v for s, r, v in zip(step, rate, variance)]
     references = {
-        "total": fsum(nominal[i] for i in net.sources),
-        "inc": nominal,
-        "estimate_variance": variance,
+        "total": fsum(nominal),
+        "inc": view.keyed(nominal),
+        "estimate_variance": view.keyed(variance),
     }
-    result = _monte_carlo(net, net.links(), cfg, quantize, "dithered-quantizer", references)
-    return replace(
-        result, saturation_rate={i: float(np.mean(saturated[i])) for i in net.sources}
-    )
+    result = _monte_carlo(net, view, cfg, quantize, "dithered-quantizer", references)
+    return replace(result, saturation_rate=view.keyed([float(np.mean(s)) for s in saturated]))

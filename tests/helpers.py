@@ -57,14 +57,15 @@ def fixed_fraction_d(net: TreeNetwork, fraction: float, consensus: bool = False)
 
 
 def _fractions(draw, net: TreeNetwork, consensus: bool) -> dict:
-    d: dict = {}
+    view = net.links(consensus)
+    d = [0.0] * len(view.keys)
 
-    def describe(link, var: float) -> float:
-        d[link] = draw() * var
-        return var - d[link]
+    def describe(k: int, var: float) -> float:
+        d[k] = draw() * var
+        return var - d[k]
 
-    net.links(consensus).variances(describe)
-    return d
+    view.variances(describe)
+    return view.keyed(d)
 
 
 def equal_split(net: TreeNetwork, total: float) -> dict[int, float]:

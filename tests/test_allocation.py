@@ -155,8 +155,7 @@ class TestConsensusAllocation:
         tail = allocation._allocation
 
         def perturbed(method, view, inc, warnings=()):
-            first = view.keys[0]
-            return tail(method, view, {**inc, first: inc[first] * (1 + 1e-9)}, warnings)
+            return tail(method, view, [inc[0] * (1 + 1e-9), *inc[1:]], warnings)
 
         net = random_tree(np.random.default_rng(5), 12, mode="consensus")
         monkeypatch.setattr(allocation, "_allocation", perturbed)

@@ -218,6 +218,12 @@ class TestInnerBound:
         with pytest.raises(InfeasibleError, match="node 1"):
             bounds.inner_bound(net, {2: 0.5, 1: 2.0})
 
+    def test_infeasible_distortion_whose_sum_overflows(self):
+        # The test channel refuses the map before its sum is taken.
+        net = make_line(2, [1.0, 1.0])
+        with pytest.raises(InfeasibleError, match="node 2: distortion 1e"):
+            bounds.inner_bound(net, {1: 1e308, 2: 1e308})
+
     def test_minimized_two_link(self):
         net = make_line(2, [1.0, 1.0])
         assert bounds.inner_bound_minimized(net, 0.02) == pytest.approx(
@@ -452,6 +458,12 @@ class TestReports:
 
     def test_classical_comparator_clips_at_zero(self):
         assert bounds.classical_consensus_comparator_bits(4, 10.0) == 0.0
+
+    def test_classical_comparator_is_finite_at_a_subnormal_budget(self):
+        # 1 / (2**1.5 * 2e-310) overflows; its logarithm does not.
+        bits = bounds.classical_consensus_comparator_bits(2, 2e-310)
+        assert bits == -math.log2(2**1.5 * 2e-310)
+        assert 1027.0 < bits < 1028.0
         assert bounds.classical_consensus_comparator_bits(4, 1e-4) > 0.0
 
     def test_consensus_report_fields(self):
@@ -473,6 +485,21 @@ def test_closed_form_bounds_refuse_a_tree_without_links(bound):
     sink_only = TreeNetwork(root=0, parents={}, weights={})
     with pytest.raises(InputError, match="at least one node besides the root"):
         bound(sink_only, 0.1)
+
+
+@pytest.mark.parametrize(
+    "bound, what",
+    [
+        (bounds.outer_bound_closed_form, "incremental distortions"),
+        (bounds.inner_bound_minimized, "distortion parameters"),
+    ],
+    ids=["outer", "inner"],
+)
+def test_closed_form_bounds_refuse_a_split_that_underflows(bound, what):
+    # 5e-324 / 2 rounds to 0.0, so the equal split describes no link.
+    with pytest.raises(InputError) as caught:
+        bound(make_line(2, [1.0, 1.0]), 5e-324)
+    assert str(caught.value) == f"{what}: node 1 must be positive and finite, got 0.0"
 
 
 def _bits_fields(report: bounds.BoundsReport) -> dict:

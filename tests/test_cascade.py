@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gausstree import allocation, bounds, network, simulator
+from gausstree.errors import InfeasibleError
 from gausstree.network import (
     TreeError,
     TreeNetwork,
@@ -73,7 +74,7 @@ def test_consensus_cascade_matches_enumeration(shape, n, seed):
     assert list(profile.per_root) == list(net.node_ids)
     for k, tree in trees.items():
         assert profile.per_root[k] == math.fsum(inc[e] for e in tree)
-    assert list(profile.tx) == list(order)
+    assert list(profile.tx) == list(directed_edges(net))
     for e, side in sides.items():
         below = [f for f in trees[e.dst] if f != e and f.src in side]
         assert profile.tx[e] == math.fsum(inc[f] for f in below)
@@ -82,13 +83,12 @@ def test_consensus_cascade_matches_enumeration(shape, n, seed):
 def test_sums_overflow_like_fsum():
     with pytest.raises(OverflowError):
         math.fsum([1e308, 1e308])
-    line = make_line(3, [1.0, 1.0, 1.0])
-    with pytest.raises(OverflowError):
-        line.cascade.upstream_sums({1: 1.0, 2: 1e308, 3: 1e308})
-    pair = make_consensus_line([1.0, 1.0, 1.0])
-    big = {e: 1e308 for e in directed_edges(pair)}
-    with pytest.raises(OverflowError):
-        pair.cascade.consensus_sums(big)
+    line = make_line(3, [1.0, 1.0, 1.0]).links()
+    with pytest.raises(InfeasibleError, match="overflow"):
+        line.sums([1.0, 1e308, 1e308])
+    pair = make_consensus_line([1.0, 1.0, 1.0]).links(True)
+    with pytest.raises(InfeasibleError, match="overflow"):
+        pair.sums([1e308] * len(pair.keys))
 
 
 def test_folds_never_enumerate_members(monkeypatch):
@@ -117,7 +117,10 @@ def test_fold_visits_each_link_once_after_its_feeding_links(shape, n, seed, cons
     net = shaped_tree(np.random.default_rng(seed), shape, n, mode)
     seen = []
 
-    def step(link, src, fed):  # each result is the link itself
+    view = net.links(consensus)
+
+    def step(k, src, fed):  # each result is the link's key
+        link = view.keys[k]
         seen.append(link)
         if consensus:
             assert src == link.src
@@ -127,22 +130,22 @@ def test_fold_visits_each_link_once_after_its_feeding_links(shape, n, seed, cons
             assert fed == sorted(net.children[link])
         return link
 
-    out = net.links(consensus).fold(step)
+    out = view.fold(step)
     assert tuple(seen) == (net.directed_edge_order if consensus else net.leaves_first[:-1])
-    assert list(out.items()) == [(link, link) for link in seen]
+    assert out == list(view.keys)
 
 
 @given(shape=shapes, n=sizes, seed=seeds, fraction=st.floats(0.01, 0.99))
 def test_aggregation_is_consensus_restricted_to_the_uplinks(shape, n, seed, fraction):
     net = shaped_tree(np.random.default_rng(seed), shape, n, "consensus")
     agg, cons = net.links(), net.links(True)
-    d = fixed_fraction_d(net, fraction, consensus=True)
-    uplink = agg.edge
-    assert {i: cons.carried[uplink[i]] for i in agg.keys} == agg.carried
-    agg_d = {i: d[uplink[i]] for i in agg.keys}
-    up = agg.variances(lambda i, var: var - agg_d[i])
+    d = cons.listed(fixed_fraction_d(net, fraction, consensus=True))
+    uplink = [cons.index[link] for link in zip(agg.src, agg.dst)]
+    assert [cons.carried[e] for e in uplink] == agg.carried
+    assert agg.mult == (1,) * len(agg.keys)  # one sink uses every uplink
+    up = agg.variances(lambda k, var: var - d[uplink[k]])
     both = cons.variances(lambda e, var: var - d[e])
-    assert {i: both[uplink[i]] for i in agg.keys} == up
+    assert [both[e] for e in uplink] == up
 
 
 def test_cascade_outlives_its_network():
@@ -150,9 +153,11 @@ def test_cascade_outlives_its_network():
     views = net.links(), net.links(True)
     del net  # the views hold the cascade, not the network
     up = views[0].fold(lambda link, src, fed: 1 + sum(fed))
-    assert up == {3: 1, 2: 2, 1: 3}
+    assert views[0].keyed(up) == {3: 1, 2: 2, 1: 3}
     down = views[1].fold(lambda link, src, fed: 1 + sum(fed))
-    assert down == {(3, 2): 1, (0, 1): 1, (2, 1): 2, (1, 2): 2, (1, 0): 3, (2, 3): 3}
+    assert views[1].keyed(down) == {
+        (3, 2): 1, (0, 1): 1, (2, 1): 2, (1, 2): 2, (1, 0): 3, (2, 3): 3
+    }
 
 
 @pytest.mark.parametrize("mode", ["aggregation", "consensus"])
@@ -161,7 +166,7 @@ def test_folded_network_needs_no_cycle_collector(mode):
     try:
         net = shaped_tree(np.random.default_rng(5), "random", 40, mode)
         net.subtree_variances, net.oriented_variances, net.directed_edge_order
-        net.links().into, net.links(True).into, net.links().edge, net.links(True).edge
+        net.links().into, net.links(True).into, net.links().index, net.links(True).index
         alive = weakref.ref(net)
         del net
         assert alive() is None
@@ -221,8 +226,10 @@ def test_neighbors_are_built_only_when_consensus_reads_them(shape):
 
     net = shaped_tree(rng, shape, 40, mode="consensus")
     bounds.consensus_report(net, {e: 1e-3 for e in directed_edges(net)}, 0.078)
+    view = net.links(True)
     expected = reference_structure(net.root, net.parents, 40)[2]
-    assert list(vars(net.cascade)["neighbors"]) == expected
+    assert [tuple(view.src[k] for k in into) for into in view.into] == expected
+    assert all(view.dst[k] == node for node, into in enumerate(view.into) for k in into)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -8,7 +8,7 @@ import pytest
 
 from gausstree import allocation, bounds, cli
 from gausstree.errors import ConsistencyError
-from gausstree.network import LinkCascade, directed_edges, make_consensus_line, make_line
+from gausstree.network import LinkSet, directed_edges, make_consensus_line, make_line
 
 from helpers import random_tree
 
@@ -394,6 +394,18 @@ def test_weights_without_a_finite_positive_variance_exit_2(capsys, tmp_path, wei
     assert (code, out, stderr) == (2, "", f"error: {err}\n")
 
 
+def test_consensus_bounds_at_a_subnormal_budget_reports_a_finite_comparator(capsys, tmp_path):
+    # Light weights keep every bound finite at D = 2e-310; the comparator's
+    # 1 / (n**1.5 * D) would not be.
+    tree = tmp_path / "tree.json"
+    tree.write_text(make_consensus_line([0.001, 0.001]).to_json())
+    code, out, err = run_capture(capsys, ["consensus-bounds", "--tree", str(tree), "--D", "2e-310"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert 1027.0 < report["classical_comparator_bits"] < 1028.0
+    assert 0.0 < report["outer_incremental_bits"] < report["classical_comparator_bits"]
+
+
 @pytest.mark.parametrize("budget", [["--D", "0.03"], ["--d-per-link"]])
 def test_consensus_bounds_folds_the_profile_it_holds(capsys, tmp_path, monkeypatch, budget):
     net = random_tree(np.random.default_rng(11), 30, mode="consensus")
@@ -411,12 +423,15 @@ def test_consensus_bounds_folds_the_profile_it_holds(capsys, tmp_path, monkeypat
     expected = cli._format_json(report.to_json_dict())
 
     calls = []
-    fold = LinkCascade.consensus_sums
-    monkeypatch.setattr(
-        LinkCascade, "consensus_sums", lambda self, values: calls.append(1) or fold(self, values)
-    )
+    fold = LinkSet.sums
+
+    def counted(self, values):
+        calls.append(self.mode)
+        return fold(self, values)
+
+    monkeypatch.setattr(LinkSet, "sums", counted)
     code, out, _ = run_capture(capsys, ["consensus-bounds", "--tree", str(tree), *budget])
-    assert (code, out, len(calls)) == (0, expected, expected_calls)
+    assert (code, out, calls) == (0, expected, ["consensus"] * expected_calls)
 
 
 BIG_EDGES = {"0->1": 1e308, "1->0": 1e308, "1->2": 1e308, "2->1": 1e308}

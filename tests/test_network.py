@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gausstree.errors import InputError
 from gausstree.network import (
     DirectedEdge,
     TreeError,
@@ -173,6 +174,12 @@ class TestSubtrees:
         assert stats.members == frozenset({0, 1, 2})
         assert stats.variance == 1.0 + 4.0 + 9.0
 
+    def test_root_variance_squares_by_multiplication(self):
+        # pow is not always correctly rounded: here w ** 2 is one ulp above w * w.
+        w = 1.3554200642307423
+        assert w**2 != w * w
+        assert subtree_stats(TreeNetwork(0, {}, {0: w}), 0).variance == w * w
+
 
 class TestDirectedTrees:
     def test_line_towards_stored_root(self):
@@ -276,3 +283,30 @@ def test_oriented_subtree_agrees_with_rooted_subtree(seed, n):
 def test_json_round_trip(seed, n):
     net = random_tree(np.random.default_rng(seed), n, mode="consensus" if n > 1 else "aggregation")
     assert parse_tree(net.to_json()) == net
+
+
+@pytest.mark.parametrize(
+    "consensus, values, err",
+    [
+        (False, {3: -1.0, 0: 0.1}, "x: the root has no uplink"),
+        (False, {3: -1.0, 2: 0.0}, "x: missing entries for nodes [1]"),
+        (False, {3: -1.0, 2: 0.0, 1: 0.1}, "x: node 3 must be positive and finite, got -1.0"),
+        (True, {(1, 0): -1.0, (0, 2): 0.1}, "nodes 0 and 2 are not adjacent"),
+        (True, {(1, 0): -1.0}, "x: missing entries for edges ['0->1', '1->2', '2->1']"),
+        (
+            True,
+            {(2, 1): 0.0, (1, 2): 0.1, (1, 0): -1.0, (0, 1): 0.1},
+            "x: edge 2->1 must be positive and finite, got 0.0",
+        ),
+    ],
+)
+def test_read_refuses_key_faults_then_missing_links_then_values(consensus, values, err):
+    # Key faults and bad values are reported in the caller's order, after
+    # the earlier classes of fault whatever their place in the map.
+    net = make_consensus_line([1.0, 1.0, 1.0]) if consensus else make_line(3, [1.0, 1.0, 1.0])
+    view = net.links(consensus)
+    with pytest.raises(InputError) as caught:
+        view.read(values, "x")
+    assert str(caught.value) == err
+    good = {key: 0.1 for key in view.keys}
+    assert view.read(dict(reversed(good.items())), "x") == [0.1] * len(view.keys)
