@@ -69,7 +69,7 @@ def consensus_run(args) -> None:
     net = random_tree(rng, max(args.nodes, 2), mode="consensus")
     result = allocation.allocate_consensus(net, args.D)
     print(f"\nconsensus: {net.n_nodes} nodes, sum-distortion budget {args.D}")
-    print(f"  planned sum rate   : {result.sum_rate_bits:.4f} bits (closed form, Newton-checked)")
+    print(f"  planned sum rate   : {result.sum_rate_bits:.4f} bits (closed form, KKT-certified)")
 
     model = analytic_mmse_check(net, result.profile.inc, mode="consensus")
     cfg = SimulationConfig(blocklength=args.N, trials=args.trials, seed=args.seed)

@@ -52,7 +52,6 @@ __all__ = [
     "consensus_inner",
     "consensus_outer",
     "consensus_report",
-    "consensus_test_channel_variances",
     "cutset_bound",
     "derive_distortions",
     "full_report",
@@ -406,14 +405,6 @@ def inner_bound_minimized(net: TreeNetwork, total_distortion: float) -> float:
     share = view.positive(view.split(total_distortion), "distortion parameters")
     _test_channel_variances(view, share)
     return fsum(_link_rates(view, share))
-
-
-def consensus_test_channel_variances(
-    net: TreeNetwork, d: Mapping[tuple[int, int], float]
-) -> dict[DirectedEdge, float]:
-    """Directed test-channel variance recursion for consensus."""
-    view = _consensus_view(net)
-    return view.keyed(_test_channel_variances(view, view.read(d, "distortion parameters")))
 
 
 def consensus_inner(net: TreeNetwork, d: Mapping[tuple[int, int], float]) -> InnerBound:

@@ -71,8 +71,11 @@ def _emit(args, json_payload, csv_rows) -> None:
                 f"a result is not finite at these parameters ({exc})"
             ) from exc
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -89,10 +92,10 @@ def _load_tree(path: str) -> TreeNetwork:
         raise InputError(f"cannot read tree file {path}: {exc}") from exc
 
 
-def _load_json(path: str):
+def _load_json(path: str, object_pairs_hook):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=object_pairs_hook)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -103,12 +106,17 @@ def _number_map(path: str, what: str, parse_key) -> dict:
     # A JSON object of numbers keyed by links: ``parse_key`` turns a key
     # into its link, or raises ValueError (an InputError names its own
     # fault).  Values are as strict as tree weights, and two keys that name
-    # one link are refused.
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
+    # one link are refused, a key written twice included.
+    entries: list = []
+
+    def keep(pairs: list) -> dict:
+        entries[:] = pairs  # the outermost object is decoded last
+        return dict(pairs)
+
+    if not isinstance(_load_json(path, keep), dict):
         raise InputError(f"{path}: expected an object mapping {what} to values")
     out, named = {}, {}
-    for key, value in doc.items():
+    for key, value in entries:
         try:
             link = parse_key(key)
         except InputError as exc:

@@ -19,11 +19,10 @@ recursion needs, one :class:`LinkCascade` with no reference back to the
 network.  One leaves-first DFS gives every node's subtree size and its
 position in that order, so every subtree is a contiguous slice; a node it
 misses lies on or under a cycle.  The ``2(n-1)`` directed links follow:
-oriented subtree sizes ``size(c -> p) = |subtree(c)|`` and ``size(p -> c)
-= n - size(c -> p)``, the multiplicities ``n - size``, an evaluation
-order, and every oriented member set as one slice or the complement of
-one.  The link ``b -> a`` is fed by the links ``k -> b`` from the other
-neighbours ``k`` of ``b``.
+the multiplicities ``|subtree(c)|`` of ``p -> c`` and ``n - |subtree(c)|``
+of ``c -> p``, and every oriented member set as one slice or the
+complement of one.  The link ``b -> a`` is fed by the links ``k -> b``
+from the other neighbours ``k`` of ``b``.
 
 :meth:`TreeNetwork.links` is the one place the mode is decided (the
 cascade is mode-free): it returns the mode's :class:`LinkSet`, built on
@@ -32,26 +31,32 @@ first use, which numbers the links ``0 .. L-1`` in ascending key order
 directed link by ``(src, dst)`` in consensus).  Per-link values are
 sequences indexed by link; keys appear only where a caller's map enters,
 checked once by :meth:`LinkSet.read`, and where results leave
-(:meth:`LinkSet.keyed`).  Every per-link recursion is one call of
-:meth:`LinkSet.fold`: ``step(k, src, fed)`` once per link ``k``, in the
-view's ``order`` (uplinks leaves-first in aggregation,
-:attr:`LinkCascade.order` in consensus), with ``fed`` the results of the
-links into ``src`` but the one from ``dst``, ascending by source.  Steps
-that draw random numbers or raise on the first bad link depend on this
-order.  :meth:`LinkSet.variances` is the one fold that adds, the
-sequential test-channel recursion: a link's variance is its source's
-squared weight plus ``pass_on(j, variance_j)`` of each feeding link
-``j``.  A view keeps the ``2(n-1)`` links into each node, not the
-feeding links of each link, which number the sum of squared degrees.
+(:meth:`LinkSet.keyed`).
 
-:meth:`LinkSet.sums` sums per-link values in O(n), one body for both
-modes: leaves-first every link ``i -> parent(i)`` collects the links
-into ``i``, then root-first every link ``p -> i`` is rerooted as ``(all
-links into p) - (i -> p)``.  The sums are exact.  Every finite double is
-``m * 2**e``, so the values are carried as integers over one common
-power-of-two denominator; integer sums and the rerooting subtraction
-lose nothing, and the one division ``num / 2**k`` per result is
-correctly rounded.  Each result is therefore bit-identical to
+Both modes walk their links in one order: the uplinks ``i ->
+parent(i)`` leaves-first, then (consensus only) the downlinks ``p -> i``
+root-first.  An uplink follows the uplinks into its source and a
+downlink ``p -> i`` every link into ``p``, so every link follows the
+links that feed it, and the consensus walk begins with the aggregation
+walk.  Every per-link recursion is one call of :meth:`LinkSet.fold`:
+``step(k, src, fed)`` once per link ``k`` in that order, with ``fed``
+the results of the links into ``src`` but the one from ``dst``,
+ascending by source.  Steps that draw random numbers or raise on the
+first bad link depend on this order.  :meth:`LinkSet.variances` is the
+one fold that adds, the sequential test-channel recursion: a link's
+variance is its source's squared weight plus ``pass_on(j, variance_j)``
+of each feeding link ``j``.  A view keeps the ``2(n-1)`` links into each
+node, not the feeding links of each link, which number the sum of
+squared degrees.
+
+:meth:`LinkSet.sums` sums per-link values in O(n) in the same order:
+every uplink ``i -> parent(i)`` collects the links into ``i``, then
+every downlink ``p -> i`` is rerooted as ``(all links into p) - (i ->
+p)``, which needs every uplink done.  The sums are exact.  Every finite
+double is ``m * 2**e``, so the values are carried as integers over one
+common power-of-two denominator; integer sums and the rerooting
+subtraction lose nothing, and the one division ``num / 2**k`` per result
+is correctly rounded.  Each result is therefore bit-identical to
 :func:`math.fsum` over the members it sums, and a sum too large for a
 double raises :class:`~gausstree.errors.InfeasibleError`.
 
@@ -70,7 +75,7 @@ import json
 import math
 import operator
 from collections import deque
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -179,10 +184,8 @@ class LinkCascade:
     Indexed by node id: ``parent`` (-1 at the root) and the ascending
     ``children`` and ``neighbors``.  ``postorder`` lists the nodes
     children-first with the root last, so node ``i``'s subtree is the
-    ``subtree_size[i]`` entries ending at ``position[i]``.  ``size(link)``
-    counts the nodes on the ``src`` side of a directed link, ``order``
-    lists the links by ``(size, link)``, which puts every link after the
-    links that feed it, and ``edges`` by ``(src, dst)``.
+    ``subtree_size[i]`` entries ending at ``position[i]``.  ``edges``
+    lists the directed links by ``(src, dst)``.
     """
 
     def __init__(self, root: int, parents: Mapping[int, int]) -> None:
@@ -225,16 +228,6 @@ class LinkCascade:
             for up, kids in zip(self.parent, self.children)
         )
 
-    def size(self, edge: tuple[int, int]) -> int:
-        src, dst = edge
-        if self.parent[src] == dst:
-            return self.subtree_size[src]
-        return len(self.parent) - self.subtree_size[dst]
-
-    @cached_property
-    def order(self) -> tuple[DirectedEdge, ...]:
-        return tuple(sorted(self.edges, key=lambda e: (self.size(e), e)))
-
     @cached_property
     def edges(self) -> tuple[DirectedEdge, ...]:
         up = [DirectedEdge(i, self.parent[i]) for i in self.postorder[:-1]]
@@ -243,7 +236,10 @@ class LinkCascade:
     def multiplicity(self, edge: tuple[int, int]) -> int:
         """Number of roots whose directed tree uses ``edge``: the nodes on
         its ``dst`` side."""
-        return len(self.parent) - self.size(edge)
+        src, dst = edge
+        if self.parent[src] == dst:
+            return len(self.parent) - self.subtree_size[src]
+        return self.subtree_size[dst]
 
     def node(self, value: object) -> int:
         """``value`` as the id of a node of the tree."""
@@ -280,58 +276,45 @@ class LinkCascade:
         return self.postorder[: end - self.subtree_size[dst]] + self.postorder[end:]
 
 
-@dataclass(frozen=True, eq=False)
 class LinkSet:
     """One mode's links, numbered ``0 .. L-1`` in ascending ``keys`` order
     (see the module docstring); ``index`` maps a key to its link.  Per
     link: ``src``, ``dst``, the source's squared weight ``own``, the
     multiplicity ``mult`` (the sinks whose directed tree uses the link, 1
     in aggregation) and the variance it ``carried``.  Per node id:
-    ``into``, the links into it ascending by source.  ``order`` is the fold
-    order, ``up`` the links ``i -> parent(i)`` leaves-first and ``down``
-    their reverses (none in aggregation).  The ``observers`` have data and
-    the ``sinks`` estimate the whole sum: aggregation is consensus
-    restricted to the directed tree towards its one sink, the root."""
+    ``into``, the links into it ascending by source.  ``up`` lists the
+    links ``i -> parent(i)`` leaves-first, ``down`` their reverses
+    root-first (none in aggregation), and the fold ``order`` is ``up``
+    then ``down``.  The ``observers`` have data and the ``sinks`` estimate
+    the whole sum: aggregation is consensus restricted to the directed
+    tree towards its one sink, the root."""
 
-    mode: str
-    cascade: LinkCascade = field(repr=False)
-    keys: tuple
-    src: tuple[int, ...] = field(repr=False)
-    dst: tuple[int, ...] = field(repr=False)
-    own: tuple[float, ...] = field(repr=False)
-    mult: tuple[int, ...] = field(repr=False)
-    fold_order: InitVar[Sequence]  # the keys in fold order
-    observers: tuple[int, ...]
-    sinks: tuple[int, ...]
-    index: dict = field(init=False, repr=False)
-    into: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    order: tuple[int, ...] = field(init=False, repr=False)
-    up: tuple[int, ...] = field(init=False, repr=False)
-    down: tuple[int, ...] = field(init=False, repr=False)
-    #: The partial-sum variance each link carries (every link passes on all),
-    #: a plain attribute because the bound loops read it once per link.
-    carried: list[float] = field(init=False, repr=False)
-
-    def __post_init__(self, fold_order: Sequence) -> None:
-        parent, position = self.cascade.parent, self.cascade.position
-        index = {key: k for k, key in enumerate(self.keys)}
+    def __init__(
+        self, mode: str, cascade: LinkCascade, keys: tuple, src: tuple[int, ...],
+        dst: tuple[int, ...], own: tuple[float, ...], mult: tuple[int, ...],
+        observers: tuple[int, ...], sinks: tuple[int, ...],
+    ) -> None:
+        parent, position = cascade.parent, cascade.position
+        self.mode, self.cascade, self.keys = mode, cascade, keys
+        self.src, self.dst, self.own, self.mult = src, dst, own, mult
+        self.observers, self.sinks = observers, sinks
+        self.index = {key: k for k, key in enumerate(keys)}
         into: list[list[int]] = [[] for _ in parent]
         up: list = [None] * (len(parent) - 1)  # by the position of the link's child
         down = up[:]
-        for k, (src, dst) in enumerate(zip(self.src, self.dst)):
-            into[dst].append(k)  # ascending keys list every node's links by source
-            if parent[src] == dst:
-                up[position[src]] = k
+        for k, (s, t) in enumerate(zip(src, dst)):
+            into[t].append(k)  # ascending keys list every node's links by source
+            if parent[s] == t:
+                up[position[s]] = k
             else:
-                down[position[dst]] = k
-        vars(self).update(
-            index=index,
-            into=tuple(map(tuple, into)),
-            order=tuple(index[key] for key in fold_order),
-            up=tuple(up),
-            down=tuple(k for k in down if k is not None),
-        )
-        vars(self)["carried"] = self.variances(lambda k, var: var)
+                down[position[t]] = k
+        self.into = tuple(map(tuple, into))
+        self.up = tuple(up)
+        self.down = tuple(k for k in reversed(down) if k is not None)
+        self.order = self.up + self.down
+        #: The partial-sum variance each link carries (every link passes on
+        #: all), a plain attribute because the bound loops read it once per link.
+        self.carried = self.variances(lambda k, var: var)
 
     def fold(self, step: Callable[[int, int, list], object]) -> list:
         """``step(k, src, fed)`` once per link ``k``, every link after its
@@ -369,7 +352,7 @@ class LinkSet:
             for k in up:  # leaves-first: every link into a source is summed already
                 tx[k] = rx_into[src[k]]
                 rx_into[dst[k]] += tx[k] + num[k]
-            for u, k in zip(reversed(up), reversed(self.down)):  # root-first rerooting
+            for u, k in zip(reversed(up), self.down):  # root-first rerooting
                 tx[k] = rx_into[src[k]] - tx[u] - num[u]
                 rx_into[dst[k]] += tx[k] + num[k]
             per_sink = [rx_into[i] / den for i in self.sinks]
@@ -580,8 +563,7 @@ class TreeNetwork:
         return LinkSet(
             "aggregation", cascade, sources, sources, tuple(cascade.parent[i] for i in sources),
             # w * w, not w ** 2: pow is not always correctly rounded.
-            tuple(w[i] * w[i] for i in sources), (1,) * len(sources),
-            cascade.postorder[:-1], sources, (self.root,),
+            tuple(w[i] * w[i] for i in sources), (1,) * len(sources), sources, (self.root,),
         )
 
     @cached_property
@@ -591,14 +573,15 @@ class TreeNetwork:
         return LinkSet(
             "consensus", cascade, edges, tuple(e.src for e in edges), tuple(e.dst for e in edges),
             tuple(squares.get(e.src, 0.0) for e in edges),
-            tuple(cascade.multiplicity(e) for e in edges), cascade.order, nodes, nodes,
+            tuple(cascade.multiplicity(e) for e in edges), nodes, nodes,
         )
 
     @property
     def directed_edge_order(self) -> tuple[DirectedEdge, ...]:
-        """All 2(n-1) directed edges, every edge after its feeding edges
-        (:attr:`LinkCascade.order`)."""
-        return self.cascade.order
+        """All 2(n-1) directed edges, every edge after its feeding edges:
+        the consensus view's fold order."""
+        view = self.links(True)
+        return tuple(view.keys[k] for k in view.order)
 
     # -- serialization ----------------------------------------------------
 

@@ -563,6 +563,13 @@ def _simulate_test_channel(
     return _monte_carlo(net, view, cfg, encode, "test-channel", references)
 
 
+def _check_rate(view: LinkSet, k: int, rate: float) -> float:
+    # Link k's rate, once it is non-negative and finite.
+    if not (rate >= 0.0 and math.isfinite(rate)):
+        raise InputError(f"link {view.keys[k]}: rate must be non-negative, got {rate!r}")
+    return rate
+
+
 def _dither_design(view: LinkSet, rates: list):
     """Design variances, steps and clip ranges of the quantizer chain.
 
@@ -572,8 +579,7 @@ def _dither_design(view: LinkSet, rates: list):
     step, clip = [0.0] * len(rates), [0.0] * len(rates)
 
     def design(k: int, variance: float) -> float:
-        if not (rates[k] >= 0.0 and math.isfinite(rates[k])):
-            raise InputError(f"link {view.keys[k]}: rate must be non-negative, got {rates[k]!r}")
+        _check_rate(view, k, rates[k])
         clip[k] = _DITHER_CLIP_SIGMAS * math.sqrt(variance)
         step[k] = 2.0 * clip[k] / 2.0 ** rates[k] if rates[k] > 0.0 else 0.0
         # A rate-0 link sends nothing, so it feeds no variance downstream.
@@ -586,12 +592,18 @@ def matched_test_channel_distortions(
     net: TreeNetwork, rates: Mapping[int, float]
 ) -> dict[int, float]:
     """Distortions the test-channel scheme achieves at the given rates:
-    ``d_i = sigma_hat_i^2 * 4**(-R_i)`` along the variance recursion."""
+    ``d_i = sigma_hat_i^2 * 4**(-R_i)`` along the variance recursion.
+    Refuses, as :class:`~gausstree.errors.InputError`, a link without a
+    rate and a rate that is not non-negative and finite."""
     view = net.links()
+    for key in view.keys:
+        if key not in rates:
+            raise InputError(f"link {key}: no rate given")
+    rate = [_check_rate(view, k, float(rates[key])) for k, key in enumerate(view.keys)]
     d = [0.0] * len(view.keys)
 
     def describe(k: int, sigma_hat: float) -> float:
-        d[k] = sigma_hat * 4.0 ** (-float(rates[view.keys[k]]))
+        d[k] = sigma_hat * 4.0 ** -rate[k]
         return sigma_hat - d[k]
 
     view.variances(describe)

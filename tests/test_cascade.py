@@ -55,7 +55,8 @@ def test_consensus_cascade_matches_enumeration(shape, n, seed):
 
     assert directed_edges(net) == tuple(sorted(sides))
     order = net.directed_edge_order
-    assert order == tuple(sorted(sides, key=lambda e: (len(sides[e]), e)))
+    up = [(i, net.parents[i]) for i in net.leaves_first[:-1]]
+    assert order == tuple(up + [(dst, src) for src, dst in reversed(up)])
     rank = {e: k for k, e in enumerate(order)}
     for e in order:
         for k in net.neighbors[e.src]:
@@ -105,7 +106,7 @@ def test_folds_never_enumerate_members(monkeypatch):
     cons = make_consensus_line([1.0] * n)
     order = cons.directed_edge_order
     assert len(order) == 2 * (n - 1)
-    assert [edge_multiplicity(cons, e) for e in order[:2]] == [n - 1, n - 1]
+    assert [edge_multiplicity(cons, e) for e in order[:2]] == [n - 1, n - 2]
     profile = bounds.consensus_derive(cons, {e: 1e-6 for e in order})
     assert profile.per_root[0] == math.fsum([1e-6] * (n - 1))
 
@@ -146,6 +147,14 @@ def test_aggregation_is_consensus_restricted_to_the_uplinks(shape, n, seed, frac
     up = agg.variances(lambda k, var: var - d[uplink[k]])
     both = cons.variances(lambda e, var: var - d[e])
     assert [both[e] for e in uplink] == up
+
+    def visits(view):
+        seen = []
+        view.fold(lambda k, src, fed: seen.append(k))
+        return seen
+
+    # The consensus fold starts with the uplinks, in aggregation's order.
+    assert visits(cons)[: len(uplink)] == [uplink[k] for k in visits(agg)]
 
 
 def test_cascade_outlives_its_network():

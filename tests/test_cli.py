@@ -91,6 +91,15 @@ class TestOutputs:
         assert out == ""
         assert json.loads(target.read_text())["mode"] == "aggregation"
 
+    def test_out_path_that_cannot_be_opened_exits_2(self, tmp_path, capsys, line3_path):
+        target = tmp_path / "no" / "such" / "x.json"
+        code, out, err = run_capture(
+            capsys, ["bounds", "--tree", line3_path, "--D", "0.1", "--out", str(target)]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
+
     def test_csv_format(self, capsys, line3_path):
         code, out, _ = run_capture(
             capsys, ["bounds", "--tree", line3_path, "--D", "0.03", "--format", "csv"]
@@ -317,6 +326,8 @@ CONSENSUS3 = [node(0), node(1, parent=0), node(2, parent=1)]
         ("consensus-bounds", CONSENSUS3, {"0->1": False}, "{links}: bad entry '0->1': False"),
         ("consensus-bounds", CONSENSUS3, {"1->0": 0.1, "01->0": 0.1},
          "{links}: keys '1->0' and '01->0' name the same link"),
+        ("bounds", LINE3, '{"1": 0.01, "1": 5.0, "2": 0.01}',
+         "{links}: keys '1' and '1' name the same link"),
     ],
     ids=[
         "bool-id", "float-id", "negative-id", "duplicate-id", "sparse-ids", "bool-parent",
@@ -324,6 +335,7 @@ CONSENSUS3 = [node(0), node(1, parent=0), node(2, parent=1)]
         "bool-weight", "zero-weight", "missing-weight", "unknown-link-node",
         "unknown-edge-node", "non-adjacent-edge", "bool-link-value", "string-link-value",
         "huge-link-value", "duplicate-link-key", "bool-edge-value", "duplicate-edge-key",
+        "repeated-link-key",
     ],
 )
 def test_single_error_inputs_exit_2_with_one_message(capsys, tmp_path, command, nodes, links, err):
@@ -332,7 +344,7 @@ def test_single_error_inputs_exit_2_with_one_message(capsys, tmp_path, command, 
     budget = ["--D", "0.1"]
     path = tmp_path / "links.json"
     if links is not None:
-        path.write_text(json.dumps(links))
+        path.write_text(links if isinstance(links, str) else json.dumps(links))
         budget = ["--d-per-link", str(path)]
     code, out, stderr = run_capture(capsys, [command, "--tree", str(tree), *budget])
     assert (code, out, stderr) == (2, "", f"error: {err.format(links=path)}\n")

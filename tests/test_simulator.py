@@ -362,6 +362,20 @@ class TestDitheredBaseline:
         with pytest.raises(InputError, match="link 2: rate must be non-negative"):
             simulate_dithered_baseline(net, rates, quiet_cfg())
 
+    @pytest.mark.parametrize(
+        "rates, err",
+        [
+            ({1: 2.0}, "link 2: no rate given"),
+            ({1: 2.0, 2: -3.0}, "link 2: rate must be non-negative, got -3.0"),
+            ({1: float("nan"), 2: 2.0}, "link 1: rate must be non-negative, got nan"),
+            ({1: 2.0, 2: float("inf")}, "link 2: rate must be non-negative, got inf"),
+        ],
+        ids=["missing", "negative", "nan", "infinite"],
+    )
+    def test_matched_distortions_refuse_bad_rates(self, rates, err):
+        with pytest.raises(InputError, match=f"^{err}$"):
+            matched_test_channel_distortions(make_line(2, [1.0, 1.0]), rates)
+
     def test_rejects_consensus_allocations(self):
         net = make_consensus_line([1.0, 1.0])
         rates = allocation.allocate_consensus(net, 0.01, cross_validate=False)
