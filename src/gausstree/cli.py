@@ -16,8 +16,9 @@ import argparse
 import csv
 import io
 import json
+import operator
 import sys
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import allocation, bounds, simulator
 from .errors import ConsistencyError, InfeasibleError, InputError
@@ -36,18 +37,107 @@ _MAX_LINE_N = MAX_NODES - 1
 # output formatting
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.{_JSON_DIGITS}g}")
+# ``_format_json`` writes the bytes of
+#     json.dumps(<payload, every float rounded to 12 significant digits>,
+#                sort_keys=True, indent=2, allow_nan=False) + "\n"
+# for a payload with string keys (the only kind the CLI builds), in one
+# walk, rounding each float as it writes it, with no copy of the payload:
+# ``indent`` turns json's C encoder off, and its Python one took longer
+# than the bounds it printed.  Errors are json's too.
+
+
+def _json_float(value: float) -> str:
+    # json writes the 12-digit rounding r = float(s) of ``value`` as
+    # float.__repr__(r), the shortest decimal that reads back as r.  Two
+    # decimals of at most 12 significant digits cannot round to the same
+    # double (doubles above 1e-4 resolve 15 digits), so that decimal has the
+    # digits of ``s``; and for decimal exponents -4..11, where ``s`` has no
+    # exponent, repr writes them positionally too.  Only an exponent,
+    # "inf" or "nan" in ``s`` needs r itself.
+    s = f"{value:.{_JSON_DIGITS}g}"
+    if "e" in s:  # finite: "inf" and "nan" have no "e"
+        return float.__repr__(float(s))
+    if "n" in s:
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(float(s)))
+    return s if "." in s else s + ".0"
+
+
+#: Text of a scalar of exactly this type, as json writes it.
+_LEAVES = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _leaf(value) -> str:
+    """A scalar whose type is a subclass of a JSON one."""
+    for base in (str, int, float):
+        if isinstance(value, base):
+            return _LEAVES[base](value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    # Every payload the CLI writes has string keys only.
+    if isinstance(key, str):
+        return _LEAVES[str](key)
+    raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+
+
+def _text(obj, indent: str) -> str:
+    """``obj`` as JSON; ``indent`` is a newline and the indentation of the
+    line ``obj`` starts on."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        fields = [f"{_key(k)}: {_text(v, inner)}" for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(fields) + indent + "}"
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        first = obj[0]
+        if type(first) is dict and first:
+            items = _records(obj, inner)
+        else:
+            items = [_text(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return _leaf(obj)
+
+
+def _records(records: Sequence, indent: str) -> list[str]:
+    # A list whose first item is a dict (a link table, a sweep row): when
+    # its values are scalars, one ``%`` template per list writes every
+    # item with the first one's keys and value types, ``_text`` any other.
+    first = records[0]
+    keys = sorted(first)
+    get = operator.itemgetter(*keys) if len(keys) > 1 else lambda item: (item[keys[0]],)
+    types = tuple(map(type, get(first)))
+    writers = [_LEAVES.get(t) for t in types]
+    if None in writers:  # a container, or a subclass of a scalar type
+        return [_text(item, indent) for item in records]
+    inner = indent + "  "
+    fields = [f"{inner}{_key(k).replace('%', '%%')}: %s" for k in keys]
+    template = "{" + ",".join(fields) + indent + "}"
+    shape, out = first.keys(), []
+    for item in records:
+        if type(item) is dict and item.keys() == shape:
+            values = get(item)
+            if tuple(map(type, values)) == types:
+                out.append(template % tuple(write(v) for write, v in zip(writers, values)))
+                continue
+        out.append(_text(item, indent))
+    return out
 
 
 def _format_json(payload) -> str:
-    return json.dumps(_round_floats(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _text(payload, "\n") + "\n"
 
 
 def _format_csv(rows: Iterable[Sequence]) -> str:
@@ -60,12 +150,14 @@ def _format_csv(rows: Iterable[Sequence]) -> str:
     return buffer.getvalue()
 
 
-def _emit(args, json_payload, csv_rows) -> None:
+def _emit(args, json_payload: Callable[[], object], csv_rows: Callable[[], Iterable]) -> None:
+    """Write the result in ``--format``, built by the one of the two
+    callables that format needs."""
     if args.format == "csv":
-        text = _format_csv(csv_rows)
+        text = _format_csv(csv_rows())
     else:
         try:
-            text = _format_json(json_payload)
+            text = _format_json(json_payload())
         except ValueError as exc:  # NaN or infinity has no JSON literal
             raise InfeasibleError(
                 f"a result is not finite at these parameters ({exc})"
@@ -250,7 +342,7 @@ def _cmd_bounds(args) -> int:
         if args.D is None:
             raise InputError("either --D or --d-per-link is required")
         report = bounds.full_report(net, args.D)
-    _emit(args, report.to_json_dict(), report.to_csv_rows())
+    _emit(args, report.to_json_dict, report.to_csv_rows)
     return 0
 
 
@@ -266,7 +358,7 @@ def _cmd_consensus_bounds(args) -> int:
         view, total = net.links(True), profile.total
         inc, tx = view.listed(profile.inc), view.listed(profile.tx)
     report = bounds._consensus_report(net, inc, tx, total)
-    _emit(args, report.to_json_dict(), report.to_csv_rows())
+    _emit(args, report.to_json_dict, report.to_csv_rows)
     return 0
 
 
@@ -278,7 +370,7 @@ def _cmd_allocate(args) -> int:
         result = allocation.allocate_numeric_penalized(net, args.D, tol=args.tol)
     else:
         result = allocation.allocate_equal_incremental(net, args.D)
-    _emit(args, result.to_json_dict(net), result.to_csv_rows(net))
+    _emit(args, lambda: result.to_json_dict(net), lambda: result.to_csv_rows(net))
     return 0
 
 
@@ -288,13 +380,18 @@ def _cmd_consensus_allocate(args) -> int:
         raise InputError("--D is required")
     kkt = allocation.allocate_consensus(net, args.D)
     numeric = allocation._certify(net, allocation.allocate_consensus_numeric(net, args.D), args.D)
-    payload = kkt.to_json_dict(net)
-    # The uniform per-edge split is shown alongside the solution of the
-    # multiplicity-weighted program; they coincide only when every edge
-    # has the same multiplicity.
-    payload["numeric_sum_rate_bits"] = numeric.sum_rate_bits
-    payload["uniform_edge_inc"] = args.D / (2 * (net.n_nodes - 1))
-    _emit(args, payload, kkt.to_csv_rows(net))
+
+    def payload() -> dict:
+        # The uniform per-edge split is shown alongside the solution of the
+        # multiplicity-weighted program; they coincide only when every edge
+        # has the same multiplicity.
+        return {
+            **kkt.to_json_dict(net),
+            "numeric_sum_rate_bits": numeric.sum_rate_bits,
+            "uniform_edge_inc": args.D / (2 * (net.n_nodes - 1)),
+        }
+
+    _emit(args, payload, lambda: kkt.to_csv_rows(net))
     return 0
 
 
@@ -315,15 +412,14 @@ def _cmd_simulate(args, force_mode: str | None = None) -> int:
         result = simulator.simulate_dithered_baseline(net, rates, cfg)
     else:
         result = simulator.simulate_aggregation(net, _aggregation_d(args, net), cfg)
-    _emit(args, result.to_json_dict(), result.to_csv_rows())
+    _emit(args, result.to_json_dict, result.to_csv_rows)
     return 0
 
 
 def _cmd_gap_sweep(args) -> int:
     rows = gap_sweep(_parse_range(args.line_n), _parse_float_list(args.D))
     header = ["n", "D", "delta_r_bits", "asymptote_bits", "delta_minus_asymptote_bits"]
-    csv_rows = [header] + [[row[name] for name in header] for row in rows]
-    _emit(args, rows, csv_rows)
+    _emit(args, lambda: rows, lambda: [header] + [[row[name] for name in header] for row in rows])
     return 0
 
 
@@ -362,7 +458,7 @@ def _cmd_validate(args) -> int:
             "total_distortion": model.total,
             "status": "ok",
         }
-    _emit(args, summary, [["mode", "status"]] + [[m, "ok"] for m in summary])
+    _emit(args, lambda: summary, lambda: [["mode", "status"]] + [[m, "ok"] for m in summary])
     return 0
 
 

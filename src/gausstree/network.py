@@ -138,6 +138,8 @@ class SubtreeStats:
 
 
 def _check_node_id(value: object, what: str) -> int:
+    if type(value) is int and value >= 0:  # the common case, first
+        return value
     if isinstance(value, bool):
         raise TreeError(f"{what} must be an integer, got {value!r}")
     try:
@@ -150,6 +152,8 @@ def _check_node_id(value: object, what: str) -> int:
 
 
 def _check_weight(node: int, value: object) -> float:
+    if type(value) is float and 0.0 < value * value < math.inf:  # passes every check
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TreeError(f"node {node}: weight must be a number, got {value!r}")
     try:
@@ -229,9 +233,13 @@ class LinkCascade:
         )
 
     @cached_property
+    def uplinks(self) -> tuple[DirectedEdge, ...]:
+        """The links ``i -> parent(i)``, leaves-first."""
+        return tuple(DirectedEdge(i, self.parent[i]) for i in self.postorder[:-1])
+
+    @cached_property
     def edges(self) -> tuple[DirectedEdge, ...]:
-        up = [DirectedEdge(i, self.parent[i]) for i in self.postorder[:-1]]
-        return tuple(sorted(up + [e.reversed() for e in up]))
+        return tuple(sorted(self.uplinks + tuple(e.reversed() for e in self.uplinks)))
 
     def multiplicity(self, edge: tuple[int, int]) -> int:
         """Number of roots whose directed tree uses ``edge``: the nodes on
@@ -579,9 +587,9 @@ class TreeNetwork:
     @property
     def directed_edge_order(self) -> tuple[DirectedEdge, ...]:
         """All 2(n-1) directed edges, every edge after its feeding edges:
-        the consensus view's fold order."""
-        view = self.links(True)
-        return tuple(view.keys[k] for k in view.order)
+        the consensus view's fold order, read off the cascade."""
+        up = self.cascade.uplinks
+        return up + tuple(e.reversed() for e in reversed(up))
 
     # -- serialization ----------------------------------------------------
 

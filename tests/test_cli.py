@@ -2,9 +2,13 @@ import csv
 import dataclasses
 import io
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gausstree import allocation, bounds, cli
 from gausstree.errors import ConsistencyError
@@ -518,3 +522,151 @@ def test_map_keys_are_ascii_decimal_node_ids(capsys, tmp_path, command, nodes, l
     path.write_text(json.dumps(links))
     code, out, err = run_capture(capsys, [command, "--tree", str(tree), "--d-per-link", str(path)])
     assert (code, out, err) == (2, "", f"error: {path}: bad entry {key!r}: 0.01\n")
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against the expression it replaced
+
+
+def reference_json(payload) -> str:
+    """Every float rounded to 12 significant digits, then json's own
+    indenting (pure-Python) encoder: what ``cli._format_json`` must write."""
+
+    def rounded(obj):
+        if isinstance(obj, float):
+            return float(f"{obj:.12g}")
+        if isinstance(obj, dict):
+            return {k: rounded(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [rounded(v) for v in obj]
+        return obj
+
+    return json.dumps(rounded(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def outcome(write, payload):
+    """The text ``write`` returns, or the type and message of what it raises."""
+    try:
+        return write(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+strings = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "☃", "😀", "%", "%s", "%%"]),
+)
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 2.3e-308),  # subnormal
+    st.floats(1e11, 1e17).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.integers(-(2**64), 2**64).map(float),  # integral
+    st.floats(1e307, 1.7976931348623157e308),
+    st.sampled_from([-0.0, 5e-324, 9.999999999995e-05, 999999999999.5, 9999999999999999.0]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),  # a float subclass
+)
+scalars = st.one_of(finite, st.integers(), st.booleans(), st.none(), strings)
+
+
+def records(values):
+    """Lists of flat dicts, some sharing one key set (one template per
+    list) and some not (the writer falls back item by item)."""
+    shared = st.sets(strings, min_size=1, max_size=4).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({k: values for k in keys}), min_size=1, max_size=5)
+    )
+    mixed = st.lists(
+        st.dictionaries(st.sampled_from(["a", "b", "%c"]), values, min_size=1, max_size=3),
+        min_size=1, max_size=5,
+    )
+    return shared | mixed
+
+
+def payloads(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(strings, children, max_size=4),
+            records(finite),  # a link table: the template writes every item
+            records(leaves),
+            records(children),
+        ),
+        max_leaves=30,
+    )
+
+
+@settings(max_examples=400)
+@given(payload=payloads(scalars))
+def test_format_json_writes_the_bytes_of_json_dumps(payload):
+    assert cli._format_json(payload) == reference_json(payload)
+
+
+@settings(max_examples=200)
+@given(payload=payloads(st.one_of(scalars, st.sampled_from([math.nan, math.inf, -math.inf]))))
+def test_format_json_refuses_what_json_dumps_refuses(payload):
+    assert outcome(cli._format_json, payload) == outcome(reference_json, payload)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+@pytest.mark.parametrize(
+    "where",
+    [
+        lambda v: v,
+        lambda v: {"b": [1.5, v], "a": 2.0},
+        lambda v: [{"link": "1", "rate_bits": 0.5}, {"link": "2", "rate_bits": v}],
+        lambda v: [{"a": v, "b": [math.inf]}, {"a": 1.0, "b": [v]}],
+    ],
+    ids=["top", "nested", "record", "first-in-order"],
+)
+def test_non_finite_values_raise_json_dumps_message(bad, where):
+    payload = where(bad)
+    with pytest.raises(ValueError) as refused:
+        reference_json(payload)
+    with pytest.raises(ValueError) as raised:
+        cli._format_json(payload)
+    assert str(raised.value) == str(refused.value)
+    assert str(raised.value).startswith("Out of range float values are not JSON compliant: ")
+
+
+@pytest.mark.parametrize("key", [1, 1.5, None, True, (1, 2)])
+def test_format_json_refuses_keys_that_are_not_strings(key):
+    with pytest.raises(TypeError, match="keys must be str"):
+        cli._format_json({"a": [{key: 1.0}]})
+
+
+def check_cli_json(command: str, n: int, seed: int = 3) -> int:
+    """Run ``gausstree COMMAND --D 1e-3`` on a random tree of ``n`` nodes
+    and fail if any payload it writes differs, byte for byte, from
+    ``reference_json``; returns the number of bytes compared.  CI runs it
+    on 10,000-node trees::
+
+        PYTHONPATH=src:tests python -c "import test_cli as t; t.check_cli_json('bounds', 10000)"
+    """
+    mode = "consensus" if command.startswith("consensus") else "aggregation"
+    sources = n if mode == "consensus" else n - 1  # an aggregation sink has no weight
+    net = random_tree(np.random.default_rng(seed), sources, mode=mode)
+    compared, written = [], cli._format_json
+
+    def checked(payload) -> str:
+        text = written(payload)
+        assert text == reference_json(payload), f"{command} on n={n}: _format_json differs"
+        compared.append(len(text))
+        return text
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = os.path.join(tmp, "tree.json")
+        with open(tree, "w", encoding="utf-8") as handle:
+            handle.write(net.to_json())
+        cli._format_json = checked
+        try:
+            code = cli.run([command, "--tree", tree, "--D", "1e-3", "--out", os.devnull])
+        finally:
+            cli._format_json = written
+    assert code == 0 and compared, (command, code)
+    return sum(compared)
+
+
+@pytest.mark.parametrize("command", ["bounds", "allocate", "consensus-allocate"])
+def test_cli_json_matches_json_dumps_on_a_random_tree(command):
+    assert check_cli_json(command, 300) > 0
