@@ -18,8 +18,14 @@ Usage:
         replay this checkout and REV, checked out in a temporary
         ``git worktree``, and print every case whose records differ;
         exits 1 if any do
+    python scripts/replay.py --python PATH [--against REV] --numpy-free
+        the same, with this checkout replayed by the interpreter at PATH
+        and compared with its own records (or REV's) under this one
 
-``--sample N`` keeps about N cases, evenly spaced through the corpus.
+``--sample N`` keeps about N cases, evenly spaced through the corpus;
+``--numpy-free`` keeps the cases of the subcommands that load no numpy
+(``bounds``, ``consensus-bounds``, ``gap-sweep`` and ``allocate`` but for
+``--method penalized``), which an interpreter without numpy can replay.
 tests/corpus.json holds the records of ``--sample 200``, which a tier-1
 test replays; after an intended change of output, re-record it with
     PYTHONPATH=src python scripts/replay.py --sample 200 | python -c \
@@ -29,10 +35,12 @@ test replays; after an intended change of output, re-record it with
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -46,6 +54,9 @@ BUDGETS = ["1e-3", "0.2", "-1", "nan", "5e-324", "1e-300"]
 SIZES = [2, 3, 8, 40, 150, 300]
 SHAPES = ["line", "star", "random"]
 SMALL = 40  # largest tree for the oracle, the simulators and the penalized allocator
+
+#: Subcommands that load no numpy, ``allocate`` unless ``--method penalized``.
+NUMPY_FREE = {"bounds", "allocate", "consensus-bounds", "gap-sweep"}
 
 
 def node(i, weight=1.0, **extra):
@@ -207,18 +218,26 @@ def run_case(cli, argv: list[str]) -> dict:
     }
 
 
+def numpy_free(argv: list[str]) -> bool:
+    return argv[0] in NUMPY_FREE and "penalized" not in argv
+
+
 def sampled(cases: list, sample: int | None) -> list:
     if not sample or sample >= len(cases):
         return cases
     return cases[:: -(-len(cases) // sample)]
 
 
-def records(sample: int | None):
-    """Run the (sampled) corpus in process and yield each case's record."""
+def records(sample: int | None, only_numpy_free: bool = False):
+    """Run the (filtered, then sampled) corpus in process and yield each
+    case's record."""
     from gausstree import cli
 
     files: dict[str, object] = {}
-    cases = sampled(corpus(files), sample)
+    cases = corpus(files)
+    if only_numpy_free:
+        cases = [argv for argv in cases if numpy_free(argv)]
+    cases = sampled(cases, sample)
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         for name, doc in files.items():
@@ -232,47 +251,62 @@ def records(sample: int | None):
             os.chdir(here)
 
 
-def record(sample: int | None) -> None:
-    for case in records(sample):
+def record(sample: int | None, only_numpy_free: bool) -> None:
+    for case in records(sample, only_numpy_free):
         print(json.dumps(case), flush=True)
 
 
-def replay(src: Path, sample: int | None) -> list[dict]:
-    argv = [sys.executable, str(Path(__file__).resolve())]
+def replay(src: Path, python: str, sample: int | None, only_numpy_free: bool) -> list[dict]:
+    argv = [python, str(Path(__file__).resolve())]
     if sample:
         argv += ["--sample", str(sample)]
+    if only_numpy_free:
+        argv.append("--numpy-free")
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     return [json.loads(line) for line in done.stdout.splitlines()]
 
 
-def against(rev: str, sample: int | None) -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp, "rev")
-        subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", "--quiet",
-                        str(tree), rev], check=True)
-        try:
-            theirs = replay(tree / "src", sample)
-        finally:
-            subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force", str(tree)],
-                           check=True)
-    ours = replay(REPO / "src", sample)
+def compare(rev: str | None, python: str, sample: int | None, only_numpy_free: bool) -> int:
+    """Replay REV (else this checkout) with this interpreter and this
+    checkout with ``python``; print the cases whose records differ."""
+    replayed = functools.partial(replay, sample=sample, only_numpy_free=only_numpy_free)
+    if rev is None:
+        theirs = replayed(REPO / "src", sys.executable)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = Path(tmp, "rev")
+            subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", "--quiet",
+                            str(tree), rev], check=True)
+            try:
+                theirs = replayed(tree / "src", sys.executable)
+            finally:
+                subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force",
+                                str(tree)], check=True)
+    ours = replayed(REPO / "src", python)
+    base = rev or f"Python {platform.python_version()}"
+    mine = "this checkout" if python == sys.executable else f"this checkout under {python}"
     differ = [(a, b) for a, b in zip(theirs, ours) if a != b]
     for a, b in differ:
-        print(json.dumps({"argv": a["argv"], rev: {k: a[k] for k in ("exit", "stdout", "stderr")},
-                          "this checkout": {k: b[k] for k in ("exit", "stdout", "stderr")}}))
-    print(f"{len(ours)} cases, {len(differ)} differ from {rev}", file=sys.stderr)
-    return 1 if differ else 0
+        print(json.dumps({"argv": a["argv"], base: {k: a[k] for k in ("exit", "stdout", "stderr")},
+                          mine: {k: b[k] for k in ("exit", "stdout", "stderr")}}))
+    print(f"{len(ours)} cases, {len(differ)} differ from {base}", file=sys.stderr)
+    return 1 if differ or len(ours) != len(theirs) else 0
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV", help="commit to compare with")
+    parser.add_argument("--python", metavar="PATH",
+                        help="interpreter that replays this checkout in a comparison")
     parser.add_argument("--sample", type=int, metavar="N", help="keep about N cases")
+    parser.add_argument("--numpy-free", action="store_true",
+                        help="keep only the cases of subcommands that load no numpy")
     args = parser.parse_args()
-    if args.against:
-        return against(args.against, args.sample)
-    record(args.sample)
+    if args.against or args.python:
+        return compare(args.against, args.python or sys.executable, args.sample,
+                       args.numpy_free)
+    record(args.sample, args.numpy_free)
     return 0
 
 

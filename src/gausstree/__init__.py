@@ -1,65 +1,101 @@
 """Planning, bounding and simulating lossy in-network linear computation
 on Gaussian tree networks: distortion-accumulation identities, outer and
 inner bounds on the sum rate, rate allocation, and exact/Monte-Carlo
-validation, for both single-sink aggregation and all-node consensus."""
+validation, for both single-sink aggregation and all-node consensus.
 
-from .allocation import (
-    RateAllocation,
-    allocate_consensus,
-    allocate_consensus_numeric,
-    allocate_equal_incremental,
-    allocate_numeric_penalized,
-    rates_for_profile,
-)
-from .bounds import (
-    BoundsReport,
-    ConsensusProfile,
-    DistortionProfile,
-    consensus_derive,
-    consensus_inner,
-    consensus_outer,
-    cutset_bound,
-    derive_distortions,
-    full_report,
-    gap_report,
-    inner_bound,
-    inner_bound_minimized,
-    line_gap_asymptote,
-    outer_bound_closed_form,
-    outer_bound_incremental,
-    outer_bound_penalty,
-)
-from .errors import ConsistencyError, InfeasibleError, InputError
-from .infomeasures import (
-    GaussianSpec,
-    TestChannelLaw,
-    gaussian_entropy_bits,
-    gaussian_kl_nats,
-    test_channel_law,
-    test_channel_rate_bits,
-    verify_smoothing_inequality,
-)
-from .network import (
-    DirectedEdge,
-    SubtreeStats,
-    TreeError,
-    TreeNetwork,
-    directed_tree,
-    edge_multiplicity,
-    make_consensus_line,
-    make_line,
-    oriented_subtree_stats,
-    parse_tree,
-    subtree_stats,
-)
-from .simulator import (
-    AnalyticModel,
-    SimulationConfig,
-    SimulationResult,
-    analytic_mmse_check,
-    simulate_aggregation,
-    simulate_consensus,
-    simulate_dithered_baseline,
-)
+Every name below is imported from its module on first use (PEP 562), so
+``import gausstree`` loads nothing, and numpy is loaded only by what needs
+it: the simulator, the numeric allocators and the matrix functions of
+``infomeasures``.
+"""
+
+import sys
+
+_EXPORTS = {
+    "allocation": (
+        "RateAllocation",
+        "allocate_consensus",
+        "allocate_consensus_numeric",
+        "allocate_equal_incremental",
+        "allocate_numeric_penalized",
+        "rates_for_profile",
+    ),
+    "bounds": (
+        "BoundsReport",
+        "ConsensusProfile",
+        "DistortionProfile",
+        "consensus_derive",
+        "consensus_inner",
+        "consensus_outer",
+        "cutset_bound",
+        "derive_distortions",
+        "full_report",
+        "gap_report",
+        "inner_bound",
+        "inner_bound_minimized",
+        "line_gap_asymptote",
+        "outer_bound_closed_form",
+        "outer_bound_incremental",
+        "outer_bound_penalty",
+    ),
+    "errors": ("ConsistencyError", "InfeasibleError", "InputError"),
+    "infomeasures": (
+        "GaussianSpec",
+        "TestChannelLaw",
+        "gaussian_entropy_bits",
+        "gaussian_kl_nats",
+        "test_channel_law",
+        "test_channel_rate_bits",
+        "verify_smoothing_inequality",
+    ),
+    "network": (
+        "DirectedEdge",
+        "SubtreeStats",
+        "TreeError",
+        "TreeNetwork",
+        "directed_tree",
+        "edge_multiplicity",
+        "make_consensus_line",
+        "make_line",
+        "oriented_subtree_stats",
+        "parse_tree",
+        "subtree_stats",
+    ),
+    "simulator": (
+        "AnalyticModel",
+        "SimulationConfig",
+        "SimulationResult",
+        "analytic_mmse_check",
+        "simulate_aggregation",
+        "simulate_consensus",
+        "simulate_dithered_baseline",
+    ),
+}
+
+#: The module each exported name comes from.  ``cli`` is not among them:
+#: importing it here would make ``python -m gausstree.cli`` warn that the
+#: module ran after its package had imported it.
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+
+
+def _module(name: str):
+    # __import__, unlike importlib.import_module, is timed by -X importtime.
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return _module(name)
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_ORIGIN})

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from math import fsum
 
-import numpy as np
-
 from . import bounds
 from .bounds import ConsensusProfile, DistortionProfile
 from .errors import ConsistencyError, InfeasibleError, InputError
@@ -128,6 +126,8 @@ def allocate_numeric_penalized(
     at the finest step size, or when the update cap is hit (the best
     iterate is then returned with a warning).
     """
+    import numpy as np
+
     bounds._require_links(net)
     total_distortion = _check_budget(total_distortion)
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -190,8 +190,7 @@ def _allocation(method: str, view: LinkSet, inc: list, warnings: tuple = ()) -> 
 
 def _consensus_setup(net: TreeNetwork, total_distortion: float):
     total_distortion = _check_budget(total_distortion)
-    view = bounds._consensus_view(net)
-    return total_distortion, view, np.array(view.mult, dtype=float)
+    return total_distortion, bounds._consensus_view(net)
 
 
 def allocate_consensus(
@@ -205,22 +204,25 @@ def allocate_consensus(
     is certified optimal by the KKT conditions of the convex program
     (:func:`_certify`, O(n)); ``cross_validate=False`` skips the check.
     """
-    total_distortion, view, mult = _consensus_setup(net, total_distortion)
-    result = _allocation("consensus-kkt", view, (total_distortion / (len(mult) * mult)).tolist())
+    total_distortion, view = _consensus_setup(net, total_distortion)
+    # E * m is an exact integer, so each inc_e is one rounding of D / (E m).
+    n_links = len(view.mult)
+    inc = [total_distortion / (n_links * m) for m in view.mult]
+    result = _allocation("consensus-kkt", view, inc)
     return _certify(net, result, total_distortion) if cross_validate else result
 
 
 def _certify(net: TreeNetwork, result: RateAllocation, total_distortion: float) -> RateAllocation:
     """``result``, once it meets the KKT conditions (:func:`_kkt_violation`)."""
-    total_distortion, view, mult = _consensus_setup(net, total_distortion)
-    level = mult * np.array(view.listed(result.profile.inc))
-    violation = _kkt_violation(level, fsum(level.tolist()), total_distortion)
+    total_distortion, view = _consensus_setup(net, total_distortion)
+    level = [m * d for m, d in zip(view.mult, view.listed(result.profile.inc))]
+    violation = _kkt_violation(level, fsum(level), total_distortion)
     if violation is not None:
         raise ConsistencyError(f"{result.method} allocation {violation}")
     return result
 
 
-def _kkt_violation(level: np.ndarray, total: float, budget: float) -> str | None:
+def _kkt_violation(level: list[float], total: float, budget: float) -> str | None:
     """Which KKT condition of the consensus program ``level = m * inc``
     misses (``inc > 0``, ``level`` constant, ``total = fsum(level)`` equal
     to ``budget``; Boyd and Vandenberghe, *Convex Optimization*, 5.5.3), or
@@ -233,7 +235,7 @@ def _kkt_violation(level: np.ndarray, total: float, budget: float) -> str | None
     and adds about ten roundings, so ``total`` is within ``(E + 16) u``
     relative plus ``(E + 1)^2 tiny`` (the closed form within ``3u``)."""
     n_links = len(level)
-    lo, hi = float(level.min()), float(level.max())
+    lo, hi = min(level), max(level)
     if not (lo > 0.0 and hi - lo <= 16 * _U * lo + (n_links + 2) * _TINY):
         return f"is not stationary: multiplicity * inc spans [{lo!r}, {hi!r}]"
     if not abs(total - budget) <= (n_links + 16) * _U * budget + (n_links + 1) ** 2 * _TINY:
@@ -249,13 +251,17 @@ def allocate_consensus_numeric(net: TreeNetwork, total_distortion: float) -> Rat
     iterate's budget residual so that rounding cannot pile up in ``m @ x``;
     stops once the KKT certificate holds, or warns after ``_NEWTON_STEPS``.
     """
-    total_distortion, view, mult = _consensus_setup(net, total_distortion)
+    import numpy as np
+
+    total_distortion, view = _consensus_setup(net, total_distortion)
+    mult = np.array(view.mult, dtype=float)
     x = np.full(len(mult), total_distortion / mult.sum())
     warnings: tuple[str, ...] = ()
     for taken in range(_NEWTON_STEPS + 1):
         level = mult * x
-        total = fsum(level.tolist())
-        if _kkt_violation(level, total, total_distortion) is None:
+        listed = level.tolist()
+        total = fsum(listed)
+        if _kkt_violation(listed, total, total_distortion) is None:
             break
         if taken == _NEWTON_STEPS:
             warnings = (f"stopped after {taken} Newton steps before the KKT certificate held",)

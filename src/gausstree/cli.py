@@ -8,23 +8,38 @@ argv plus seed produce byte-identical JSON.
 
 Exit codes: 0 success, 2 input error, 3 infeasible parameters,
 4 internal-consistency failure.
+
+Only ``simulate``, ``consensus-simulate``, ``validate``, ``allocate
+--method penalized`` and ``consensus-allocate`` load numpy.  The simulator
+is imported by the handlers that run it, or by the first use of
+``cli.simulator``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import operator
 import sys
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import allocation, bounds, simulator
+from . import allocation, bounds
 from .errors import ConsistencyError, InfeasibleError, InputError
 from .network import MAX_NODES, LinkSet, TreeNetwork, make_line, parse_tree
 
 __all__ = ["build_parser", "gap_sweep", "main", "run"]
+
+
+def __getattr__(name: str):
+    if name == "simulator":
+        from . import simulator
+
+        return simulator
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _JSON_DIGITS = 12
 _CSV_DIGITS = 6
@@ -396,13 +411,21 @@ def _cmd_consensus_allocate(args) -> int:
 
 
 def _cmd_simulate(args, force_mode: str | None = None) -> int:
+    from . import simulator
+
     net = _load_tree(args.tree)
     consensus = (force_mode or args.mode) == "consensus"
     cfg = simulator.SimulationConfig(blocklength=args.N, trials=args.trials, seed=args.seed)
     if consensus:
         if args.scheme != "testchannel":
             raise InputError("the dithered baseline is aggregation-only")
-        result = simulator.simulate_consensus(net, _consensus_d(args, net), cfg)
+        if args.d_per_link:
+            result = simulator.simulate_consensus(net, _edge_map(args.d_per_link), cfg)
+        else:
+            # The certified allocation, listed in link order: no map to read.
+            profile = allocation.allocate_consensus(net, _budget(args)).profile
+            view = net.links(True)
+            result = simulator.simulate_test_channel(net, view, view.listed(profile.inc), cfg)
     elif args.scheme == "dither":
         if args.d_per_link:
             profile = bounds.derive_distortions(net, _link_map(args.d_per_link))
@@ -439,6 +462,8 @@ _MODE_D = {"aggregation": _aggregation_d, "consensus": _consensus_d}
 
 
 def _cmd_validate(args) -> int:
+    from . import simulator
+
     net = _load_tree(args.tree)
     if args.mode == "agg":
         modes = ["aggregation"]
@@ -534,10 +559,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser serves every call: argparse writes usage, errors and help
+    # to the sys.stdout or sys.stderr of the moment it writes them.
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return int(exc.code or 0)
     try:

@@ -8,16 +8,21 @@ divergence by mean-square distance.
 Convention: every rate is reported in bits (log base 2); KL divergences
 are in nats because the smoothing inequality is stated that way.  The
 conversion constant is :data:`LOG2E`.
+
+numpy is imported by the matrix functions only, so the scalar ones (which
+``bounds`` uses) load without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConsistencyError, InputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LOG2E",
@@ -57,6 +62,8 @@ class GaussianSpec:
     covariance: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.atleast_2d(np.asarray(self.covariance, dtype=float))
         if mean.ndim != 1:
@@ -100,6 +107,8 @@ def gaussian_kl_nats(p: GaussianSpec, q: GaussianSpec) -> float:
     :class:`~gausstree.errors.ConsistencyError` because the closed form
     cannot legitimately go that negative.
     """
+    import numpy as np
+
     if p.dim != q.dim:
         raise InputError(f"dimension mismatch: {p.dim} vs {q.dim}")
     n = p.dim
@@ -192,6 +201,8 @@ def verify_smoothing_inequality(joint: GaussianSpec, t: float) -> float:
         ``rhs - lhs`` in nats; mathematically guaranteed ``>= 0`` (up to
         round-off of order 1e-9).
     """
+    import numpy as np
+
     if not (t > 0.0 and math.isfinite(t)):
         raise InputError(f"smoothing variance t must be positive, got {t!r}")
     if joint.dim % 2 != 0:

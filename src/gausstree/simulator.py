@@ -64,6 +64,7 @@ __all__ = [
     "simulate_aggregation",
     "simulate_consensus",
     "simulate_dithered_baseline",
+    "simulate_test_channel",
 ]
 
 _IDENTITY_TOL = 1e-10
@@ -528,7 +529,7 @@ def simulate_aggregation(
     variances and the end-to-end distortion are averaged over trials.
     """
     view = net.links()
-    return _simulate_test_channel(net, view, view.read(d, "distortion parameters"), cfg)
+    return simulate_test_channel(net, view, view.read(d, "distortion parameters"), cfg)
 
 
 def simulate_consensus(
@@ -542,15 +543,25 @@ def simulate_consensus(
     the distortion parameters along each node's directed tree.
     """
     view = bounds._consensus_view(net)
-    return _simulate_test_channel(net, view, view.read(d, "distortion parameters"), cfg)
+    return simulate_test_channel(net, view, view.read(d, "distortion parameters"), cfg)
 
 
-def _simulate_test_channel(
-    net: TreeNetwork, view: LinkSet, d: list, cfg: SimulationConfig
+def simulate_test_channel(
+    net: TreeNetwork, view: LinkSet, d: Sequence[float], cfg: SimulationConfig
 ) -> SimulationResult:
-    # simulate_aggregation or simulate_consensus for checked distortion
-    # parameters.  A link's noise stream is keyed by its source node in
-    # aggregation and by its rank among the directed edges in consensus.
+    """:func:`simulate_aggregation` or :func:`simulate_consensus` on the
+    links of ``view`` (``net.links()`` or ``net.links(True)``), with the
+    distortion parameters listed in its link order, as an allocation's
+    profile lists them: no map is read.
+
+    A link's noise stream is keyed by its source node in aggregation and by
+    its rank among the directed edges in consensus.
+    """
+    if len(d) != len(view.keys):
+        raise InputError(
+            f"distortion parameters: {len(d)} values for {len(view.keys)} links"
+        )
+    d = view.positive(list(d), "distortion parameters")
     sigma_hat = bounds._test_channel_variances(view, d)
     laws = [test_channel_law(s2, dk) for s2, dk in zip(sigma_hat, d)]
     _, per_root, total = view.sums(d)

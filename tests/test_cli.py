@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gausstree import allocation, bounds, cli
+from gausstree import allocation, bounds, cli, simulator
 from gausstree.errors import ConsistencyError
 from gausstree.network import LinkSet, directed_edges, make_consensus_line, make_line
 
@@ -64,6 +65,20 @@ class TestExitCodes:
     def test_unknown_subcommand_is_exit_2(self, capsys):
         assert cli.run(["frobnicate"]) == 2
         capsys.readouterr()
+
+    def test_the_one_parser_writes_to_each_calls_streams(self):
+        # run() builds its parser once; usage errors and help still go to
+        # the sys.stderr and sys.stdout of the call, not of the first call.
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert cli.run(["frobnicate"]) == 2
+                assert cli.run(["bounds", "--help"]) == 0
+            assert "invalid choice: 'frobnicate'" in err.getvalue()
+            assert out.getvalue().startswith("usage: gausstree bounds")
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
     def test_consistency_failure_is_exit_4(self, capsys, line3_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -448,6 +463,28 @@ def test_consensus_bounds_folds_the_profile_it_holds(capsys, tmp_path, monkeypat
     monkeypatch.setattr(LinkSet, "sums", counted)
     code, out, _ = run_capture(capsys, ["consensus-bounds", "--tree", str(tree), *budget])
     assert (code, out, calls) == (0, expected, ["consensus"] * expected_calls)
+
+
+def test_consensus_simulate_hands_the_allocation_over_as_a_list(capsys, tmp_path, monkeypatch):
+    net = random_tree(np.random.default_rng(12), 8, mode="consensus")
+    tree = tmp_path / "tree.json"
+    tree.write_text(net.to_json())
+    cfg = simulator.SimulationConfig(blocklength=400, trials=3, seed=4)
+    inc = allocation.allocate_consensus(net, 0.05).profile.inc
+    expected = cli._format_json(simulator.simulate_consensus(net, inc, cfg).to_json_dict())
+
+    reads = []
+    read = LinkSet.read
+
+    def counted(self, values, what):
+        reads.append(what)
+        return read(self, values, what)
+
+    monkeypatch.setattr(LinkSet, "read", counted)
+    argv = ["consensus-simulate", "--tree", str(tree), "--D", "0.05", "--N", "400",
+            "--trials", "3", "--seed", "4"]
+    code, out, _ = run_capture(capsys, argv)
+    assert (code, out, reads) == (0, expected, [])
 
 
 BIG_EDGES = {"0->1": 1e308, "1->0": 1e308, "1->2": 1e308, "2->1": 1e308}

@@ -20,6 +20,7 @@ from gausstree.simulator import (
     simulate_aggregation,
     simulate_consensus,
     simulate_dithered_baseline,
+    simulate_test_channel,
 )
 
 from helpers import (
@@ -293,6 +294,18 @@ class TestSimulateConsensus:
         result = simulate_consensus(net, uniform_edge_d(net, 1e-12), quiet_cfg())
         for k in net.node_ids:
             assert result.empirical_total[k] <= 1e-10
+
+    def test_a_list_in_link_order_runs_what_its_map_runs(self):
+        net = make_consensus_line([1.0, 0.5, 2.0])
+        view, d = net.links(True), uniform_edge_d(net, 0.01)
+        listed = simulate_test_channel(net, view, view.listed(d), quiet_cfg())
+        assert listed.to_json_dict() == simulate_consensus(net, d, quiet_cfg()).to_json_dict()
+
+    @pytest.mark.parametrize("values", [[0.01] * 3, [0.01, 0.01, 0.0, 0.01]])
+    def test_a_list_is_checked_for_length_and_sign(self, values):
+        net = make_consensus_line([1.0, 0.5, 2.0])
+        with pytest.raises(InputError, match="distortion parameters"):
+            simulate_test_channel(net, net.links(True), values, quiet_cfg())
 
 
 class TestDitheredBaseline:
