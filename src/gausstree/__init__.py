@@ -50,16 +50,11 @@ _EXPORTS = {
     ),
     "network": (
         "DirectedEdge",
-        "SubtreeStats",
         "TreeError",
         "TreeNetwork",
-        "directed_tree",
-        "edge_multiplicity",
         "make_consensus_line",
         "make_line",
-        "oriented_subtree_stats",
         "parse_tree",
-        "subtree_stats",
     ),
     "simulator": (
         "AnalyticModel",

@@ -10,9 +10,13 @@ Gaussians scaled by per-node weights.  Two flavours exist:
   wants the full weighted sum, so every node acts as the root of its own
   directed tree.
 
-All derived quantities (subtree member sets, subtree variances, directed
-trees, oriented subtrees, edge multiplicities) are computed here so that
-the bound/allocation modules stay purely arithmetic.
+Every structural quantity that the bounds, allocators and simulators
+read is built here (multiplicities, carried variances, the links into
+each node, one fold order), so those modules stay purely arithmetic.
+The paper defines these quantities by sets: subtree members, directed
+trees towards each root.  Nothing here enumerates those sets but
+:meth:`LinkCascade.members`, which the dense oracle reads; the tests
+check every fold against a brute-force reference that does.
 
 The :class:`TreeNetwork` constructor builds the structure every
 recursion needs, one :class:`LinkCascade` with no reference back to the
@@ -74,7 +78,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
@@ -87,24 +90,19 @@ __all__ = [
     "DirectedEdge",
     "LinkCascade",
     "LinkSet",
-    "SubtreeStats",
     "TreeError",
     "TreeNetwork",
-    "directed_edges",
-    "directed_tree",
-    "edge_multiplicity",
     "make_consensus_line",
     "make_line",
-    "oriented_subtree_stats",
     "parse_tree",
-    "subtree_stats",
 ]
 
 #: Hard cap on network size.  The link cascade, the link views and the
 #: exact distortion sums are O(n) plus one O(n log n) sort; a consensus
 #: fold, so every consensus variance recursion, reads every link into a
 #: link's source: O(sum of squared degrees), quadratic on a star.  The
-#: exact oracle is dense.
+#: exact oracle is dense and has its own, smaller limit
+#: (``simulator._ORACLE_MAX_VARIABLES``): ``validate`` refuses a larger tree.
 MAX_NODES = 10_000
 
 
@@ -123,18 +121,6 @@ class DirectedEdge(NamedTuple):
 
     def __str__(self) -> str:  # used in diagnostics and CSV link labels
         return f"{self.src}->{self.dst}"
-
-
-@dataclass(frozen=True)
-class SubtreeStats:
-    """A node set together with the per-entry variance of its partial sum.
-
-    ``variance`` is the sum of squared weights over ``members``; it is the
-    variance of each entry of the weighted partial sum carried by the set.
-    """
-
-    members: frozenset[int]
-    variance: float
 
 
 def _check_node_id(value: object, what: str) -> int:
@@ -185,11 +171,10 @@ def _fixed_point(values: Sequence[float]) -> tuple[list[int], int]:
 class LinkCascade:
     """The links of a tree laid out for O(n) folds (see the module docstring).
 
-    Indexed by node id: ``parent`` (-1 at the root) and the ascending
-    ``children`` and ``neighbors``.  ``postorder`` lists the nodes
-    children-first with the root last, so node ``i``'s subtree is the
-    ``subtree_size[i]`` entries ending at ``position[i]``.  ``edges``
-    lists the directed links by ``(src, dst)``.
+    Indexed by node id: ``parent`` (-1 at the root).  ``postorder``
+    lists the nodes children-first with the root last, so node ``i``'s
+    subtree is the ``subtree_size[i]`` entries ending at ``position[i]``.
+    ``edges`` lists the directed links by ``(src, dst)``.
     """
 
     def __init__(self, root: int, parents: Mapping[int, int]) -> None:
@@ -219,18 +204,9 @@ class LinkCascade:
             position[node] = k
             subtree_size[parent[node]] += subtree_size[node]
         self.parent = tuple(parent)
-        self.children = tuple(map(tuple, children))
         self.postorder = tuple(order)
         self.position = tuple(position)
         self.subtree_size = tuple(subtree_size)
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        # Built on first use: only directed trees read them.
-        return tuple(
-            kids if up < 0 else tuple(sorted((up, *kids)))
-            for up, kids in zip(self.parent, self.children)
-        )
 
     @cached_property
     def uplinks(self) -> tuple[DirectedEdge, ...]:
@@ -508,57 +484,11 @@ class TreeNetwork:
         """Non-root nodes in ascending order; one per tree link."""
         return tuple(i for i in self.node_ids if i != self.root)
 
-    @property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """Every node's children, ascending, indexed by node id."""
-        return self.cascade.children
-
-    def children_of(self, i: int) -> tuple[int, ...]:
-        self.cascade.node(i)
-        return self.children[i]
-
-    @property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Every node's neighbours, ascending, indexed by node id."""
-        return self.cascade.neighbors
-
     @cached_property
     def fully_weighted(self) -> bool:
         return self.root in self.weights
 
-    def weight(self, i: int) -> float:
-        """Weight of node ``i``; an unweighted aggregation sink reads as 0."""
-        self.cascade.node(i)
-        return self.weights.get(i, 0.0)
-
-    @property
-    def leaves_first(self) -> tuple[int, ...]:
-        """Node order with every child before its parent (root last)."""
-        return self.cascade.postorder
-
-    # -- subtrees and variances ------------------------------------------
-
-    def subtree_members(self, i: int) -> frozenset[int]:
-        self.cascade.node(i)
-        return frozenset(self.cascade.subtree(i))
-
-    @cached_property
-    def subtree_variances(self) -> dict[int, float]:
-        """Partial-sum variance of every subtree, the root's last."""
-        view, w = self.links(), self.weights.get(self.root, 0.0)
-        var = view.keyed(view.carried)
-        var[self.root] = fsum([w * w, *(view.carried[k] for k in view.into[self.root])])
-        return var
-
-    def oriented_members(self, edge: tuple[int, int]) -> frozenset[int]:
-        """Component of ``src`` once the undirected edge {src, dst} is cut."""
-        return frozenset(self.cascade.members(self.cascade.link(edge)))
-
-    @cached_property
-    def oriented_variances(self) -> dict[DirectedEdge, float]:
-        """Partial-sum variance of every oriented subtree, keyed by link."""
-        view = self.links(True)
-        return view.keyed(view.carried)
+    # -- the links of each mode --------------------------------------------
 
     def links(self, consensus: bool = False) -> LinkSet:
         """The aggregation or, with ``consensus``, the consensus
@@ -583,13 +513,6 @@ class TreeNetwork:
             tuple(squares.get(e.src, 0.0) for e in edges),
             tuple(cascade.multiplicity(e) for e in edges), nodes, nodes,
         )
-
-    @property
-    def directed_edge_order(self) -> tuple[DirectedEdge, ...]:
-        """All 2(n-1) directed edges, every edge after its feeding edges:
-        the consensus view's fold order, read off the cascade."""
-        up = self.cascade.uplinks
-        return up + tuple(e.reversed() for e in reversed(up))
 
     # -- serialization ----------------------------------------------------
 
@@ -678,52 +601,3 @@ def make_consensus_line(weights: Sequence[float]) -> TreeNetwork:
     parents = {i: i - 1 for i in range(1, len(weights))}
     return TreeNetwork(root=0, parents=parents, weights=dict(enumerate(weights)))
 
-
-def subtree_stats(net: TreeNetwork, i: int) -> SubtreeStats:
-    """Members and partial-sum variance of node ``i`` plus its descendants."""
-    return SubtreeStats(net.subtree_members(i), net.subtree_variances[i])
-
-
-def directed_tree(net: TreeNetwork, k: int) -> tuple[DirectedEdge, ...]:
-    """Edges of the tree oriented towards root ``k``.
-
-    Exactly ``n_nodes - 1`` edges; ``(i -> j)`` is present iff ``j`` is
-    the parent of ``i`` once the tree is re-rooted at ``k``.
-    """
-    net.cascade.node(k)
-    edges = []
-    seen = {k}
-    queue = deque([k])
-    while queue:
-        node = queue.popleft()
-        for nb in net.neighbors[node]:
-            if nb not in seen:
-                seen.add(nb)
-                edges.append(DirectedEdge(nb, node))
-                queue.append(nb)
-    return tuple(sorted(edges))
-
-
-def oriented_subtree_stats(net: TreeNetwork, edge: tuple[int, int]) -> SubtreeStats:
-    """Members and variance on the ``src`` side of directed edge ``src -> dst``.
-
-    The member set is the component of ``src`` in the tree with the
-    undirected edge removed.  An unweighted aggregation sink contributes
-    zero variance; consensus computations require fully weighted networks
-    and enforce that separately.
-    """
-    e, view = net.cascade.link(edge), net.links(True)
-    return SubtreeStats(frozenset(net.cascade.members(e)), view.carried[view.index[e]])
-
-
-def edge_multiplicity(net: TreeNetwork, edge: tuple[int, int]) -> int:
-    """Number of roots ``k`` whose directed tree uses ``src -> dst``.
-
-    Equals the number of nodes on the ``dst`` side of the cut.
-    """
-    return net.cascade.multiplicity(net.cascade.link(edge))
-
-
-def directed_edges(net: TreeNetwork) -> tuple[DirectedEdge, ...]:
-    """All 2(n-1) directed edges in ascending ``(src, dst)`` order."""
-    return net.cascade.edges

@@ -70,6 +70,15 @@ __all__ = [
 _IDENTITY_TOL = 1e-10
 _PSD_TOL = 1e-10
 
+#: The most variables the dense oracle takes on: every observing node's
+#: data, and each link's description and estimate.  Its memory grows as
+#: their square, about 32 bytes per pair (Python 3.11, numpy 2.4, 2-core
+#: host): peak RSS 170 MiB at 1996 variables (a 400-node consensus tree),
+#: 228 MiB at 2397 and 778 MiB, in 8.3 s, at 4797 (aggregation trees of
+#: 800 and 1600 nodes).  5000 variables stay under 1 GiB and about 10 s;
+#: a tree at ``MAX_NODES`` would need tens of GB.
+_ORACLE_MAX_VARIABLES = 5000
+
 #: Clipping range of the dithered quantizer, in design standard deviations.
 _DITHER_CLIP_SIGMAS = 4.0
 
@@ -242,7 +251,9 @@ def analytic_mmse_check(
     incremental; per sink, that its MMSE estimate is the sum of what it
     receives (plus its own data) and that its distortion is the parameter
     sum over its directed tree.  Violations raise
-    :class:`~gausstree.errors.ConsistencyError`.
+    :class:`~gausstree.errors.ConsistencyError`.  A tree whose model
+    would exceed ``_ORACLE_MAX_VARIABLES`` is refused up front with an
+    :class:`~gausstree.errors.InputError`.
 
     One body serves both modes: aggregation checks the uplinks (keyed by
     source node) and the one sink ``net.root``, whose weight is ignored;
@@ -255,6 +266,13 @@ def analytic_mmse_check(
         view = net.links()
     else:
         raise InputError(f"unknown mode {mode!r}")
+    variables = len(view.observers) + 2 * len(view.keys)
+    if variables > _ORACLE_MAX_VARIABLES:
+        raise InputError(
+            f"the exact oracle would hold {variables} variables for this {mode} tree "
+            f"(observing nodes plus two per link); its dense algebra is limited to "
+            f"{_ORACLE_MAX_VARIABLES}"
+        )
     d = view.read(d, "distortion parameters")
     sigma_hat = bounds._test_channel_variances(view, d)
     nodes, links, src, dst, into = view.observers, view.keys, view.src, view.dst, view.into

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from gausstree.network import TreeNetwork, directed_edges
+import reference
+from gausstree.network import TreeNetwork
 
 
 def random_tree(
@@ -74,7 +75,7 @@ def equal_split(net: TreeNetwork, total: float) -> dict[int, float]:
 
 
 def uniform_edge_d(net: TreeNetwork, value: float) -> dict:
-    return {e: value for e in directed_edges(net)}
+    return {e: value for e in reference.Tree(net).edges()}
 
 
 def shaped_tree(
@@ -97,16 +98,3 @@ def shaped_tree(
     weights = {i: float(rng.uniform(0.2, 3.0)) for i in range(first, n_nodes)}
     return TreeNetwork(root=0, parents=parents, weights=weights)
 
-
-def bfs_side(net: TreeNetwork, src: int, dst: int) -> set[int]:
-    """Brute-force reference: the nodes ``src`` reaches once the tree
-    edge ``{src, dst}`` is cut."""
-    seen = {src}
-    queue = [src]
-    while queue:
-        node = queue.pop()
-        for nb in net.neighbors[node]:
-            if nb != dst and nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return seen

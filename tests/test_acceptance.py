@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
+import reference
 from gausstree import allocation, bounds, cli
 from gausstree.infomeasures import LOG2E, GaussianSpec, verify_smoothing_inequality
-from gausstree.network import TreeNetwork, directed_edges, make_line
+from gausstree.network import TreeNetwork, make_line
 from gausstree.simulator import (
     SimulationConfig,
     analytic_mmse_check,
@@ -96,7 +97,7 @@ def test_acceptance_02_equal_split_matches_closed_form():
         for _ in range(100):
             net = random_tree(rng, int(rng.integers(1, 13)))
             d_total = 0.4 * len(net.sources) * min(
-                net.weight(i) ** 2 for i in net.sources
+                net.weights[i] ** 2 for i in net.sources
             )
             result = allocation.allocate_equal_incremental(net, d_total)
             worst = max(
@@ -133,8 +134,9 @@ def test_acceptance_04_sqrt_distortion_gap():
         ratios = [ratio(float(d_total)) for d_total in grid]
         assert all(r <= bound * (1 + 1e-12) for r in ratios)
         assert ratios == sorted(ratios)  # shrinks towards the zero-distortion limit
+        ref = reference.Tree(net)
         limit = 0.5 * math.fsum(
-            LOG2E * math.sqrt(2.0) / math.sqrt(net.subtree_variances[i])
+            LOG2E * math.sqrt(2.0) / math.sqrt(ref.variance(ref.subtree(i)))
             for i in net.sources
         )
         assert ratios[0] == pytest.approx(limit, rel=1e-3)
@@ -151,7 +153,8 @@ def test_acceptance_05_cutset_dominance():
         worst = math.inf
         for _ in range(100):
             net = random_tree(rng, int(rng.integers(1, 13)))
-            min_var = min(net.subtree_variances[i] for i in net.sources)
+            ref = reference.Tree(net)
+            min_var = min(ref.variance(ref.subtree(i)) for i in net.sources)
             profile = bounds.derive_distortions(net, equal_split(net, 1e-3 * min_var))
             delta = bounds.gap_report(net, profile).delta_r_bits
             worst = min(worst, delta)

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from gausstree import allocation, bounds
 from gausstree.errors import ConsistencyError, InfeasibleError, InputError
-from gausstree.network import (
-    TreeNetwork,
-    directed_edges,
-    edge_multiplicity,
-    make_consensus_line,
-    make_line,
-)
+from gausstree.network import TreeNetwork, make_consensus_line, make_line
 
 from helpers import equal_split, random_tree, shaped_tree
 
@@ -38,7 +33,7 @@ class TestEqualSplit:
         for _ in range(30):
             net = random_tree(rng, int(rng.integers(1, 13)))
             d_total = 0.4 * len(net.sources) * min(
-                net.weight(i) ** 2 for i in net.sources
+                net.weights[i] ** 2 for i in net.sources
             )
             result = allocation.allocate_equal_incremental(net, d_total)
             assert abs(
@@ -115,8 +110,7 @@ class TestConsensusAllocation:
         d_total = 0.02
         result = allocation.allocate_consensus(net, d_total)
         n_edges = 2 * (net.n_nodes - 1)
-        for e in directed_edges(net):
-            m = edge_multiplicity(net, e)
+        for e, m in reference.Tree(net).multiplicities().items():
             assert result.profile.inc[e] == pytest.approx(
                 d_total / (n_edges * m), rel=1e-12
             )
@@ -125,10 +119,8 @@ class TestConsensusAllocation:
         net = consensus_star(3)
         d_total = 0.013
         result = allocation.allocate_consensus(net, d_total)
-        weighted = math.fsum(
-            edge_multiplicity(net, e) * result.profile.inc[e]
-            for e in directed_edges(net)
-        )
+        uses = reference.Tree(net).multiplicities()
+        weighted = math.fsum(uses[e] * result.profile.inc[e] for e in uses)
         assert abs(weighted - d_total) <= 1e-15 * d_total
         assert result.profile.total == pytest.approx(d_total, rel=1e-12)
 
@@ -141,7 +133,7 @@ class TestConsensusAllocation:
         kkt = allocation.allocate_consensus(net, d_total, cross_validate=False)
         numeric = allocation.allocate_consensus_numeric(net, d_total)
         assert abs(kkt.sum_rate_bits - numeric.sum_rate_bits) <= 1e-6
-        for e in directed_edges(net):
+        for e in reference.Tree(net).edges():
             assert numeric.profile.inc[e] == pytest.approx(
                 kkt.profile.inc[e], rel=1e-8
             )
@@ -206,8 +198,9 @@ class TestRatesForProfile:
         net = make_line(3, [1.0, 1.0, 1.0])
         profile = bounds.derive_distortions(net, equal_split(net, 0.03))
         result = allocation.rates_for_profile(net, profile)
+        ref = reference.Tree(net)
         for i in net.sources:
-            expected = 0.5 * math.log2(net.subtree_variances[i] / 0.01)
+            expected = 0.5 * math.log2(ref.variance(ref.subtree(i)) / 0.01)
             assert result.per_link_rate_bits[i] == pytest.approx(expected, abs=1e-12)
 
     def test_full_distortion_warns_and_clips(self):

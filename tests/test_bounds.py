@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference
 from gausstree import bounds
 from gausstree.errors import ConsistencyError, InfeasibleError, InputError
-from gausstree.network import (
-    TreeNetwork,
-    directed_edges,
-    directed_tree,
-    edge_multiplicity,
-    make_consensus_line,
-    make_line,
-)
+from gausstree.network import TreeNetwork, make_consensus_line, make_line
 
 from helpers import (
     equal_split,
@@ -68,9 +62,10 @@ class TestDeriveDistortions:
         net = random_tree(rng, n)
         inc = {i: float(rng.uniform(1e-6, 2.0)) for i in net.sources}
         profile = bounds.derive_distortions(net, inc)
+        ref = reference.Tree(net)
         for i in net.sources:
             assert abs(profile.rx[i] - profile.tx[i] - profile.inc[i]) <= 1e-15 * profile.rx[i]
-            downstream = math.fsum(inc[j] for j in net.subtree_members(i) if j != i)
+            downstream = math.fsum(inc[j] for j in ref.subtree(i) if j != i)
             assert profile.tx[i] == downstream
         assert profile.total == math.fsum(inc.values())
         again = bounds.derive_distortions(net, profile.inc)
@@ -131,7 +126,7 @@ class TestOuterBounds:
 
     def test_full_distortion_leaves_only_penalties(self):
         net = make_line(2, [1.0, 1.0])
-        inc = {i: net.subtree_variances[i] for i in net.sources}
+        inc = net.links().keyed(net.links().carried)
         profile = bounds.derive_distortions(net, inc)
         outer = bounds.outer_bound_incremental(net, profile)
         expected = -0.5 * bounds.outer_bound_penalty(net, 1, profile.tx[1])
@@ -175,7 +170,7 @@ class TestCutset:
 
     def test_zero_bits_at_full_distortion(self):
         net = star3_aggregation()
-        inc = {i: net.subtree_variances[i] for i in net.sources}
+        inc = net.links().keyed(net.links().carried)
         profile = bounds.derive_distortions(net, inc)
         assert bounds.cutset_bound(net, profile) == pytest.approx(0.0, abs=1e-12)
 
@@ -200,7 +195,8 @@ class TestInnerBound:
         inner = bounds.inner_bound(net, {1: 0.01, 2: 0.01})
         assert inner.sigma_hat[2] == 1.0
         assert inner.sigma_hat[1] == pytest.approx(1.99, abs=1e-15)
-        assert inner.sigma_hat[1] <= net.subtree_variances[1]
+        ref = reference.Tree(net)
+        assert inner.sigma_hat[1] <= ref.variance(ref.subtree(1))
         assert inner.rate_bits == pytest.approx(7.143856189774724, abs=1e-12)
 
     def test_full_rate_zero_distortion_parameters(self):
@@ -240,7 +236,7 @@ class TestInnerBound:
     def test_minimized_matches_equal_split(self, seed, n):
         rng = np.random.default_rng(seed)
         net = random_tree(rng, n)
-        d_total = 0.4 * n * min(net.weight(i) ** 2 for i in net.sources)
+        d_total = 0.4 * n * min(net.weights[i] ** 2 for i in net.sources)
         inner = bounds.inner_bound(net, equal_split(net, d_total))
         assert inner.rate_bits == pytest.approx(
             bounds.inner_bound_minimized(net, d_total), abs=1e-9
@@ -252,8 +248,9 @@ class TestInnerBound:
         net = random_tree(rng, n)
         d = random_feasible_d(rng, net)
         inner = bounds.inner_bound(net, d)
+        ref = reference.Tree(net)
         for i in net.sources:
-            assert inner.sigma_hat[i] <= net.subtree_variances[i] * (1 + 1e-12)
+            assert inner.sigma_hat[i] <= ref.variance(ref.subtree(i)) * (1 + 1e-12)
 
 
 class TestGap:
@@ -338,26 +335,22 @@ class TestConsensusProfiles:
     def test_double_counting_identity(self, seed, n):
         rng = np.random.default_rng(seed)
         net = random_tree(rng, n, mode="consensus")
-        inc = {e: float(rng.uniform(1e-5, 0.5)) for e in directed_edges(net)}
+        uses = reference.Tree(net).multiplicities()
+        inc = {e: float(rng.uniform(1e-5, 0.5)) for e in uses}
         profile = bounds.consensus_derive(net, inc)
-        weighted = math.fsum(
-            edge_multiplicity(net, e) * inc[e] for e in directed_edges(net)
-        )
+        weighted = math.fsum(uses[e] * inc[e] for e in uses)
         assert profile.total == pytest.approx(weighted, rel=1e-12)
 
     @given(seed=st.integers(0, 5_000), n=st.integers(2, 10))
     def test_per_edge_recursions(self, seed, n):
         rng = np.random.default_rng(seed)
         net = random_tree(rng, n, mode="consensus")
-        inc = {e: float(rng.uniform(1e-5, 0.5)) for e in directed_edges(net)}
+        ref = reference.Tree(net)
+        inc = {e: float(rng.uniform(1e-5, 0.5)) for e in ref.edges()}
         profile = bounds.consensus_derive(net, inc)
-        for e in directed_edges(net):
+        for e in ref.edges():
             assert abs(profile.rx[e] - profile.tx[e] - profile.inc[e]) <= 1e-15 * profile.rx[e]
-            below = math.fsum(
-                inc[f]
-                for f in directed_tree(net, e.dst)
-                if f != e and f.src in net.oriented_members(e)
-            )
+            below = math.fsum(inc[f] for f in ref.upstream(*e))
             assert profile.tx[e] == below
 
 
@@ -370,7 +363,7 @@ class TestConsensusBounds:
 
     def test_full_distortion_kills_log_terms(self):
         net = make_consensus_line([1.0, 1.0])
-        inc = {e: net.oriented_variances[e] for e in directed_edges(net)}
+        inc = net.links(True).keyed(net.links(True).carried)
         profile = bounds.consensus_derive(net, inc)
         # both edges are leaf edges: no transmit distortion, no penalty
         assert bounds.consensus_outer(net, profile).total_bits == pytest.approx(
@@ -381,9 +374,9 @@ class TestConsensusBounds:
         net = make_consensus_line([1.0, 1.0, 1.0])
         profile = bounds.consensus_derive(net, uniform_edge_d(net, 1e-5))
         outer = bounds.consensus_outer(net, profile).total_bits
+        ref = reference.Tree(net)
         cutset_analog = math.fsum(
-            0.5 * math.log2(net.oriented_variances[e] / profile.rx[e])
-            for e in directed_edges(net)
+            0.5 * math.log2(ref.variance(ref.side(*e)) / profile.rx[e]) for e in ref.edges()
         )
         assert outer >= cutset_analog
 
@@ -404,9 +397,9 @@ class TestConsensusBounds:
         assert inner.distortion == pytest.approx(
             bounds.consensus_derive(net, d).total, rel=1e-12
         )
+        ref = reference.Tree(net)
         expected_rate = math.fsum(
-            0.5 * math.log2(net.oriented_variances[e] / 0.01)
-            for e in directed_edges(net)
+            0.5 * math.log2(ref.variance(ref.side(*e)) / 0.01) for e in ref.edges()
         )
         assert inner.rate_bits == pytest.approx(expected_rate, rel=1e-12)
 
@@ -431,7 +424,7 @@ class TestReports:
         for _ in range(20):
             net = random_tree(rng, int(rng.integers(1, 10)))
             d_total = 0.4 * len(net.sources) * min(
-                net.weight(i) ** 2 for i in net.sources
+                net.weights[i] ** 2 for i in net.sources
             )
             report = bounds.full_report(net, d_total)
             assert report.inner_bits >= report.outer_incremental_bits
@@ -506,20 +499,16 @@ def _bits_fields(report: bounds.BoundsReport) -> dict:
     return {name: value for name, value in vars(report).items() if name.endswith("_bits")}
 
 
-@given(
-    shape=st.sampled_from(["line", "star", "caterpillar", "random"]),
-    n=st.integers(2, 2000),
-    k=st.integers(-40, 40),
-    fraction=st.floats(0.01, 0.9),
-    seed=st.integers(0, 2**16),
-)
-@example(shape="star", n=456, k=1, fraction=0.5, seed=65535)  # a leaf where w ** 2 != w * w
-@example(shape="random", n=2000, k=37, fraction=0.3, seed=7)
-@example(shape="caterpillar", n=2000, k=-40, fraction=0.9, seed=11)
-@settings(max_examples=30)
-def test_power_of_two_scaling_leaves_every_rate_bit_identical(shape, n, k, fraction, seed):
-    # Weights times 2**k and distortions times 4**k are exact in binary
-    # floating point, so every log ratio, hence every *_bits field, is too.
+def check_power_of_two_scaling(shape: str, n: int, k: int, fraction: float, seed: int) -> None:
+    """Scale the weights of a ``shape`` aggregation tree of ``n`` nodes by
+    ``2**k`` and its distortions by ``4**k``, and compare every rate.
+
+    Both scalings are exact in binary floating point, so every log ratio,
+    hence every ``*_bits`` field, is too.  Runs on its own at sizes beyond
+    the tier-1 budget; CI calls it on 10,000-node lines and random trees::
+
+        PYTHONPATH=src:tests python -c "import test_bounds as t; t.check_power_of_two_scaling('line', 10000, 37, 0.5, 7)"
+    """
     rng = np.random.default_rng(seed)
     net = shaped_tree(rng, shape, n)
     scaled = TreeNetwork(
@@ -537,3 +526,18 @@ def test_power_of_two_scaling_leaves_every_rate_bit_identical(shape, n, k, fract
     ]:
         assert twin.total_distortion == report.total_distortion * 4.0**k
         assert _bits_fields(twin) == _bits_fields(report)
+
+
+@given(
+    shape=st.sampled_from(["line", "star", "caterpillar", "random"]),
+    n=st.integers(2, 2000),
+    k=st.integers(-40, 40),
+    fraction=st.floats(0.01, 0.9),
+    seed=st.integers(0, 2**16),
+)
+@example(shape="star", n=456, k=1, fraction=0.5, seed=65535)  # a leaf where w ** 2 != w * w
+@example(shape="random", n=2000, k=37, fraction=0.3, seed=7)
+@example(shape="caterpillar", n=2000, k=-40, fraction=0.9, seed=11)
+@settings(max_examples=30)
+def test_power_of_two_scaling_leaves_every_rate_bit_identical(shape, n, k, fraction, seed):
+    check_power_of_two_scaling(shape, n, k, fraction, seed)

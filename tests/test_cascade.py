@@ -9,21 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gausstree import allocation, bounds, network, simulator
+import reference
+from gausstree import allocation, bounds, simulator
 from gausstree.errors import InfeasibleError
-from gausstree.network import (
-    TreeError,
-    TreeNetwork,
-    directed_edges,
-    directed_tree,
-    edge_multiplicity,
-    make_consensus_line,
-    make_line,
-)
+from gausstree.network import LinkCascade, TreeError, TreeNetwork, make_consensus_line, make_line
 
-from helpers import bfs_side, fixed_fraction_d, shaped_tree
+from helpers import fixed_fraction_d, shaped_tree
 
 shapes = st.sampled_from(["line", "star", "random"])
+all_shapes = st.sampled_from(["line", "star", "caterpillar", "random"])
 sizes = st.integers(2, 300)
 seeds = st.integers(0, 2**32 - 1)
 
@@ -41,43 +35,42 @@ def test_tx_is_fsum_over_strict_subtree(shape, n, seed):
     inc = spread_values(rng, net.sources)
     profile = bounds.derive_distortions(net, inc)
     assert list(profile.tx) == list(net.sources)
+    ref = reference.Tree(net)
     for i in net.sources:
-        below = bfs_side(net, i, net.parents[i]) - {i}
+        below = ref.subtree(i) - {i}
         assert profile.tx[i] == math.fsum(inc[j] for j in below)
 
 
-@given(shape=shapes, n=sizes, seed=seeds)
+@given(shape=all_shapes, n=sizes, seed=seeds)
 def test_consensus_cascade_matches_enumeration(shape, n, seed):
     rng = np.random.default_rng(seed)
     net = shaped_tree(rng, shape, n, mode="consensus")
-    sides = {e: bfs_side(net, e.src, e.dst) for e in directed_edges(net)}
-    trees = {k: directed_tree(net, k) for k in net.node_ids}
+    view, ref = net.links(True), reference.Tree(net)
+    sides = {e: ref.side(*e) for e in ref.edges()}
+    trees = {k: ref.directed_tree(k) for k in net.node_ids}
+    uses = ref.multiplicities()
 
-    assert directed_edges(net) == tuple(sorted(sides))
-    order = net.directed_edge_order
-    up = [(i, net.parents[i]) for i in net.leaves_first[:-1]]
-    assert order == tuple(up + [(dst, src) for src, dst in reversed(up)])
+    assert list(view.keys) == list(sides) == list(net.cascade.edges)
+    order = [view.keys[k] for k in view.order]
     rank = {e: k for k, e in enumerate(order)}
     for e in order:
-        for k in net.neighbors[e.src]:
-            if k != e.dst:
-                assert rank[(k, e.src)] < rank[e]
-    uses = dict.fromkeys(sides, 0)
-    for tree in trees.values():
-        for e in tree:
-            uses[e] += 1
-    for e, side in sides.items():
-        assert edge_multiplicity(net, e) == net.n_nodes - len(side) == uses[e]
-        assert net.oriented_members(e) == frozenset(side)
+        for k in ref.adjacent[e[0]]:
+            if k != e[1]:
+                assert rank[(k, e[0])] < rank[e]
+    for k, e in enumerate(view.keys):
+        side = sides[e]
+        assert view.mult[k] == net.n_nodes - len(side) == uses[e]
+        assert frozenset(net.cascade.members(e)) == side
 
     inc = spread_values(rng, sides)
     profile = bounds.consensus_derive(net, inc)
     assert list(profile.per_root) == list(net.node_ids)
-    for k, tree in trees.items():
-        assert profile.per_root[k] == math.fsum(inc[e] for e in tree)
-    assert list(profile.tx) == list(directed_edges(net))
+    per_root = {k: math.fsum(inc[e] for e in tree) for k, tree in trees.items()}
+    assert profile.per_root == per_root  # bit for bit
+    assert profile.total == math.fsum(per_root.values())
+    assert list(profile.tx) == list(sides)
     for e, side in sides.items():
-        below = [f for f in trees[e.dst] if f != e and f.src in side]
+        below = [f for f in trees[e[1]] if f[0] in side and f != e]
         assert profile.tx[e] == math.fsum(inc[f] for f in below)
 
 
@@ -96,20 +89,22 @@ def test_folds_never_enumerate_members(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("member enumeration called from a fold")
 
-    monkeypatch.setattr(TreeNetwork, "subtree_members", forbidden)
-    monkeypatch.setattr(TreeNetwork, "oriented_members", forbidden)
-    monkeypatch.setattr(network, "directed_tree", forbidden)
+    # Only the dense oracle may list a link's members.
+    monkeypatch.setattr(LinkCascade, "members", forbidden)
+    monkeypatch.setattr(LinkCascade, "subtree", forbidden)
     n = 3000
     agg = make_line(n, [1.0] * n)
     profile = bounds.derive_distortions(agg, {i: 1e-6 for i in agg.sources})
     assert profile.tx[1] == math.fsum([1e-6] * (n - 1))
+    assert bounds.full_report(agg, 1e-3).total_distortion == 1e-3
     cons = make_consensus_line([1.0] * n)
-    order = cons.directed_edge_order
+    view = cons.links(True)
+    order = [view.keys[k] for k in view.order]
     assert len(order) == 2 * (n - 1)
-    assert [edge_multiplicity(cons, e) for e in order[:2]] == [n - 1, n - 2]
+    assert [view.mult[k] for k in view.order[:2]] == [n - 1, n - 2]
     profile = bounds.consensus_derive(cons, {e: 1e-6 for e in order})
     assert profile.per_root[0] == math.fsum([1e-6] * (n - 1))
-
+    assert bounds.consensus_report(cons, profile.inc, profile.total).mode == "consensus"
 
 
 @given(shape=shapes, n=sizes, seed=seeds, consensus=st.booleans())
@@ -120,19 +115,22 @@ def test_fold_visits_each_link_once_after_its_feeding_links(shape, n, seed, cons
 
     view = net.links(consensus)
 
+    ref = reference.Tree(net)
+    kids = reference.children(net.root, net.parents)
+
     def step(k, src, fed):  # each result is the link's key
         link = view.keys[k]
-        seen.append(link)
+        seen.append(link if consensus else (link, net.parents[link]))
         if consensus:
             assert src == link.src
-            assert fed == [(k, src) for k in sorted(net.neighbors[src]) if k != link.dst]
+            assert fed == [(k, src) for k in ref.adjacent[src] if k != link.dst]
         else:
             assert src == link
-            assert fed == sorted(net.children[link])
+            assert fed == kids[link]
         return link
 
     out = view.fold(step)
-    assert tuple(seen) == (net.directed_edge_order if consensus else net.leaves_first[:-1])
+    assert seen == ref.fold_order(consensus)
     assert out == list(view.keys)
 
 
@@ -174,7 +172,7 @@ def test_folded_network_needs_no_cycle_collector(mode):
     gc.disable()
     try:
         net = shaped_tree(np.random.default_rng(5), "random", 40, mode)
-        net.subtree_variances, net.oriented_variances, net.directed_edge_order
+        net.cascade.uplinks, net.cascade.edges, net.links().carried, net.links(True).carried
         net.links().into, net.links(True).into, net.links().index, net.links(True).index
         alive = weakref.ref(net)
         del net
@@ -183,37 +181,11 @@ def test_folded_network_needs_no_cycle_collector(mode):
         gc.enable()
 
 
-def reference_structure(root: int, parents: dict, n: int):
-    """What a tree's structure must read, computed the slow way: the cycle
-    message of a chain walk from every node in ascending order, else the
-    children and neighbours by sorting and a recursive postorder."""
-    resolved = {root}
-    for start in sorted(parents):
-        path, node = [], start
-        while node not in resolved and node not in path:
-            path.append(node)
-            node = parents[node]
-        if node in path:
-            return f"cycle detected through node {node}"
-        resolved.update(path)
-    children = [sorted(c for c, p in parents.items() if p == i) for i in range(n)]
-    neighbors = [sorted(children[i] + ([parents[i]] if i != root else [])) for i in range(n)]
-    order: list[int] = []
-
-    def visit(node):
-        for c in children[node]:
-            visit(c)
-        order.append(node)
-
-    visit(root)
-    return tuple(order), [tuple(c) for c in children], [tuple(nb) for nb in neighbors]
-
-
 @given(data=st.data(), n=st.integers(2, 12))
 def test_structure_and_cycle_check_match_a_reference(data, n):
     root = data.draw(st.integers(0, n - 1))
     parents = {i: data.draw(st.integers(0, n - 1)) for i in range(n) if i != root}
-    expected = reference_structure(root, parents, n)
+    expected = reference.structure(root, parents, n)
     weights = {i: 1.0 for i in parents}
     if isinstance(expected, str):
         with pytest.raises(TreeError) as caught:
@@ -221,22 +193,26 @@ def test_structure_and_cycle_check_match_a_reference(data, n):
         assert str(caught.value) == expected
     else:
         net = TreeNetwork(root=root, parents=parents, weights=weights)
-        views = [net.children[i] for i in range(n)], [net.neighbors[i] for i in range(n)]
-        assert (net.leaves_first, *views) == expected
-
+        # The links into each node come from its children (aggregation)
+        # or from all its neighbours (consensus), ascending by source.
+        views = [[tuple(view.src[k] for k in into) for into in view.into]
+                 for view in (net.links(), net.links(True))]
+        assert (net.cascade.postorder, *views) == expected
 
 
 @pytest.mark.parametrize("shape", ["line", "star", "random"])
 def test_neighbors_are_built_only_when_consensus_reads_them(shape):
+    # Every node's neighbours are the sources of the consensus links into
+    # it, which aggregation never builds.
     rng = np.random.default_rng(17)
     agg = shaped_tree(rng, shape, 40)
     bounds.full_report(agg, 0.01)
-    assert "neighbors" not in vars(agg.cascade)
+    assert "_consensus_links" not in vars(agg)
 
     net = shaped_tree(rng, shape, 40, mode="consensus")
-    bounds.consensus_report(net, {e: 1e-3 for e in directed_edges(net)}, 0.078)
+    bounds.consensus_report(net, {e: 1e-3 for e in reference.Tree(net).edges()}, 0.078)
     view = net.links(True)
-    expected = reference_structure(net.root, net.parents, 40)[2]
+    expected = reference.structure(net.root, net.parents, 40)[2]
     assert [tuple(view.src[k] for k in into) for into in view.into] == expected
     assert all(view.dst[k] == node for node, into in enumerate(view.into) for k in into)
 
@@ -255,19 +231,12 @@ def test_aggregation_never_builds_the_consensus_view(shape):
     assert "_aggregation_links" in vars(net) and "_consensus_links" not in vars(net)
 
 
-@given(shape=st.sampled_from(["line", "star", "caterpillar", "random"]), n=sizes, seed=seeds)
+@given(shape=all_shapes, n=sizes, seed=seeds)
 def test_directed_edge_order_is_the_consensus_fold_order(shape, n, seed):
+    # The uplinks leaves-first, then their reverses root-first.
     net = shaped_tree(np.random.default_rng(seed), shape, n, mode="consensus")
-    order = net.directed_edge_order
-    assert "_consensus_links" not in vars(net)
     view = net.links(True)
-    assert order == tuple(view.keys[k] for k in view.order)
-
-
-def test_directed_edge_order_skips_the_consensus_view_on_a_star():
-    # Read off the cascade, not the consensus view, whose ``carried``
-    # costs O(sum of squared degrees): 5.4 s on this star.
-    net = shaped_tree(np.random.default_rng(29), "star", 10_000, mode="consensus")
-    order = net.directed_edge_order
-    assert len(order) == 2 * 9_999 and order[0] == (1, 0) and order[-1] == (0, 1)
-    assert "_consensus_links" not in vars(net)
+    order = reference.Tree(net).fold_order(consensus=True)
+    assert [view.keys[k] for k in view.order] == order
+    assert [view.keys[k] for k in view.up] == order[: n - 1]
+    assert [view.keys[k] for k in view.down] == order[n - 1 :]

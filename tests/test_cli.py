@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from gausstree import allocation, bounds, cli, simulator
 from gausstree.errors import ConsistencyError
-from gausstree.network import LinkSet, directed_edges, make_consensus_line, make_line
+import reference
+from gausstree.network import LinkSet, make_consensus_line, make_line
 
 from helpers import random_tree
 
@@ -259,6 +260,26 @@ class TestValidate:
         assert code == 0
         assert json.loads(out)["consensus"]["total_distortion"] == pytest.approx(budget, rel=1e-9)
 
+    @pytest.mark.parametrize("mode, variables", [("agg", 3 * 9_999), ("consensus", 5 * 10_000 - 4)])
+    def test_validate_refuses_a_tree_beyond_the_oracle_limit(
+        self, capsys, tmp_path, monkeypatch, mode, variables
+    ):
+        # The dense oracle would need tens of GB for a 10,000-node line; it
+        # is refused with exit 2 before it builds anything.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle started on a tree beyond its limit")
+
+        monkeypatch.setattr(simulator, "_LinearGaussian", forbidden)
+        path = tmp_path / "line.json"
+        path.write_text(make_consensus_line([1.0] * 10_000).to_json())
+        code, out, err = run_capture(capsys, ["validate", "--tree", str(path), "--mode", mode])
+        assert (code, out) == (2, "")
+        name = "aggregation" if mode == "agg" else "consensus"
+        assert err == (
+            f"error: the exact oracle would hold {variables} variables for this {name} tree "
+            f"(observing nodes plus two per link); its dense algebra is limited to 5000\n"
+        )
+
     @pytest.mark.parametrize("mode", ["agg", "consensus"])
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_validate_non_positive_budget_is_exit_3(self, capsys, consensus3_path, mode, budget):
@@ -443,9 +464,9 @@ def test_consensus_bounds_folds_the_profile_it_holds(capsys, tmp_path, monkeypat
     tree = tmp_path / "tree.json"
     tree.write_text(net.to_json())
     if budget == ["--d-per-link"]:
-        inc = {e: 1e-3 for e in directed_edges(net)}
+        inc = {e: 1e-3 for e in reference.Tree(net).edges()}
         path = tmp_path / "links.json"
-        path.write_text(json.dumps({str(e): v for e, v in inc.items()}))
+        path.write_text(json.dumps({f"{src}->{dst}": v for (src, dst), v in inc.items()}))
         budget, expected_calls = budget + [str(path)], 1
     else:
         inc, expected_calls = allocation.allocate_consensus(net, 0.03).profile.inc, 1

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import gausstree
+import gausstree.network
+from gausstree.network import TreeNetwork
 
 SRC = Path(gausstree.__file__).resolve().parents[1]
 
@@ -27,19 +29,30 @@ EXPORTS = [
     "AnalyticModel", "BoundsReport", "ConsensusProfile",
     "ConsistencyError", "DirectedEdge", "DistortionProfile", "GaussianSpec",
     "InfeasibleError", "InputError", "RateAllocation", "SimulationConfig",
-    "SimulationResult", "SubtreeStats", "TestChannelLaw", "TreeError", "TreeNetwork",
+    "SimulationResult", "TestChannelLaw", "TreeError", "TreeNetwork",
     "allocate_consensus", "allocate_consensus_numeric", "allocate_equal_incremental",
     "allocate_numeric_penalized", "allocation", "analytic_mmse_check", "bounds",
     "consensus_derive", "consensus_inner", "consensus_outer", "cutset_bound",
-    "derive_distortions", "directed_tree", "edge_multiplicity", "errors", "full_report",
+    "derive_distortions", "errors", "full_report",
     "gap_report", "gaussian_entropy_bits", "gaussian_kl_nats", "infomeasures",
     "inner_bound", "inner_bound_minimized", "line_gap_asymptote", "make_consensus_line",
-    "make_line", "network", "oriented_subtree_stats", "outer_bound_closed_form",
+    "make_line", "network", "outer_bound_closed_form",
     "outer_bound_incremental", "outer_bound_penalty", "parse_tree", "rates_for_profile",
     "simulate_aggregation", "simulate_consensus", "simulate_dithered_baseline",
-    "simulator", "subtree_stats", "test_channel_law", "test_channel_rate_bits",
+    "simulator", "test_channel_law", "test_channel_rate_bits",
     "verify_smoothing_inequality", "__version__",
 ]
+
+#: The set forms of the paper's definitions, removed from the package; the
+#: tests compute them by brute force in ``reference``.
+REMOVED = {
+    "module": ["SubtreeStats", "directed_edges", "directed_tree", "edge_multiplicity",
+               "oriented_subtree_stats", "subtree_stats"],
+    "TreeNetwork": ["subtree_members", "oriented_members", "subtree_variances",
+                    "oriented_variances", "directed_edge_order", "neighbors", "children_of",
+                    "children", "leaves_first", "weight"],
+    "LinkCascade": ["neighbors", "children"],
+}
 
 
 def fresh(*argv: str) -> subprocess.CompletedProcess:
@@ -112,3 +125,15 @@ def test_exports_are_the_defining_modules_objects():
     assert gausstree.InputError is gausstree.errors.InputError
     with pytest.raises(AttributeError):
         gausstree.no_such_name  # noqa: B018
+
+
+def test_removed_names_raise_attribute_error():
+    net = TreeNetwork(root=0, parents={1: 0}, weights={0: 1.0, 1: 1.0})
+    for name in REMOVED["module"]:
+        for holder in (gausstree, gausstree.network):
+            with pytest.raises(AttributeError):
+                getattr(holder, name)
+    for holder, names in ((net, REMOVED["TreeNetwork"]), (net.cascade, REMOVED["LinkCascade"])):
+        for name in names:
+            with pytest.raises(AttributeError):
+                getattr(holder, name)

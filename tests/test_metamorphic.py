@@ -1,6 +1,8 @@
 """Metamorphic properties: relabelling the node ids maps every per-link
 value of the reports and allocations bit for bit, in both modes, and
 re-rooting a fully weighted tree leaves every consensus output identical.
+The exact oracle, whose dense algebra rounds in an order that follows the
+labels and the root, maps its distortions to within its own tolerance.
 
 The link numbering follows the keys, so these guard it against leaking
 into any output.  ``check_relabelling`` and ``check_rerooting`` also run
@@ -11,12 +13,13 @@ on their own at sizes beyond the tier-1 budget; CI calls them on
 """
 
 import numpy as np
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gausstree import allocation, bounds
+import reference
+from gausstree import allocation, bounds, simulator
 from gausstree.network import TreeNetwork
 
-from helpers import shaped_tree
+from helpers import fixed_fraction_d, shaped_tree
 
 shapes = st.sampled_from(["line", "star", "caterpillar", "random"])
 sizes = st.integers(2, 300)
@@ -35,14 +38,7 @@ def relabelled(net: TreeNetwork, perm: list[int]) -> TreeNetwork:
 
 def rerooted(net: TreeNetwork, root: int) -> TreeNetwork:
     """The same weighted tree, rooted at ``root``."""
-    parents, stack = {}, [root]
-    while stack:
-        node = stack.pop()
-        for nb in net.neighbors[node]:
-            if nb != root and nb not in parents:
-                parents[nb] = node
-                stack.append(nb)
-    return TreeNetwork(root=root, parents=parents, weights=net.weights)
+    return TreeNetwork(root=root, parents=reference.Tree(net).next_hops(root), weights=net.weights)
 
 
 def moved(values: dict, perm: list[int]) -> dict:
@@ -132,3 +128,48 @@ def test_relabelling_maps_every_per_link_value(shape, n, seed, consensus, fracti
 @example(shape="random", n=300, seed=6, fraction=0.01)
 def test_rerooting_leaves_every_consensus_output_identical(shape, n, seed, fraction):
     check_rerooting(shape, n, seed, fraction)
+
+
+def _assert_same_oracle(one: simulator.AnalyticModel, two, perm: list[int]) -> None:
+    # Every distortion within the oracle's own tolerance, relative to the
+    # receive distortion of its link or to the sink's distortion.
+    tol, rx = simulator._IDENTITY_TOL, moved(one.rx, perm)
+    for name in ("inc", "tx", "rx"):
+        got, want = getattr(two, name), moved(getattr(one, name), perm)
+        assert got.keys() == want.keys()
+        assert all(abs(got[link] - value) <= tol * rx[link] for link, value in want.items())
+    if one.per_root is not None:
+        want = moved(one.per_root, perm)
+        assert two.per_root.keys() == want.keys()
+        assert all(abs(two.per_root[k] - v) <= tol * v for k, v in want.items())
+    assert abs(two.total - one.total) <= tol * one.total
+
+
+oracle_sizes = st.integers(2, 40)
+oracle_fractions = st.floats(0.05, 0.9)
+
+
+@given(shape=shapes, n=oracle_sizes, seed=seeds, consensus=st.booleans(), fraction=oracle_fractions)
+@settings(max_examples=20)
+def test_the_oracle_maps_its_distortions_under_relabelling(shape, n, seed, consensus, fraction):
+    mode = "consensus" if consensus else "aggregation"
+    rng = np.random.default_rng(seed)
+    net = shaped_tree(rng, shape, n, mode)
+    perm = rng.permutation(n).tolist()
+    twin = relabelled(net, perm)
+    d = fixed_fraction_d(net, fraction, consensus)
+    one = simulator.analytic_mmse_check(net, d, mode)
+    two = simulator.analytic_mmse_check(twin, moved(d, perm), mode)
+    _assert_same_oracle(one, two, perm)
+
+
+@given(shape=shapes, n=oracle_sizes, seed=seeds, fraction=oracle_fractions)
+@settings(max_examples=20)
+def test_the_oracle_gives_the_same_distortions_under_rerooting(shape, n, seed, fraction):
+    rng = np.random.default_rng(seed)
+    net = shaped_tree(rng, shape, n, "consensus")
+    twin = rerooted(net, int(rng.integers(n)))
+    d = fixed_fraction_d(net, fraction, consensus=True)
+    one = simulator.analytic_mmse_check(net, d, "consensus")
+    two = simulator.analytic_mmse_check(twin, d, "consensus")
+    _assert_same_oracle(one, two, list(range(n)))

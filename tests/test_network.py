@@ -1,25 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
+from gausstree import bounds
 from gausstree.errors import InputError
-from gausstree.network import (
-    DirectedEdge,
-    TreeError,
-    TreeNetwork,
-    directed_edges,
-    directed_tree,
-    edge_multiplicity,
-    make_consensus_line,
-    make_line,
-    oriented_subtree_stats,
-    parse_tree,
-    subtree_stats,
-)
+from gausstree.network import TreeError, TreeNetwork, make_consensus_line, make_line, parse_tree
 
-from helpers import random_tree
+from helpers import random_tree, shaped_tree
 
 LINE3_DOC = json.dumps(
     {
@@ -39,6 +30,25 @@ def star(n_leaves: int, center_weight: float = 1.0, leaf_weight: float = 1.0):
         parents={i: 0 for i in range(1, n_leaves + 1)},
         weights={0: center_weight, **{i: leaf_weight for i in range(1, n_leaves + 1)}},
     )
+
+
+def carried(net: TreeNetwork, link, consensus: bool = False) -> float:
+    """The variance ``net`` carries on ``link`` (a node's uplink, or an edge)."""
+    view = net.links(consensus)
+    return view.carried[view.index[link]]
+
+
+def tree_sums(net: TreeNetwork) -> list[float]:
+    """Each node's sum, by ``LinkSet.sums``, of the values ``2**-k`` of the
+    consensus links ``k`` in its directed tree: exact, so the bits name the
+    links summed."""
+    view = net.links(True)
+    return view.sums([2.0**-k for k in range(len(view.keys))])[1]
+
+
+def link_values(net: TreeNetwork, links) -> float:
+    view = net.links(True)
+    return math.fsum(2.0 ** -view.index[link] for link in links)
 
 
 class TestParsing:
@@ -114,17 +124,15 @@ class TestConstructors:
 
     def test_line_variances_match_member_enumeration(self):
         net = make_line(3, [1.0, 1.0, 1.0])
+        ref = reference.Tree(net)
         for i in net.sources:
-            stats = subtree_stats(net, i)
-            assert stats.variance == sum(net.weight(j) ** 2 for j in stats.members)
-        assert subtree_stats(net, 3).variance == 1.0
-        assert subtree_stats(net, 2).variance == 2.0
-        assert subtree_stats(net, 1).variance == 3.0
+            assert carried(net, i) == ref.variance(ref.subtree(i))
+        assert [carried(net, i) for i in (3, 2, 1)] == [1.0, 2.0, 3.0]
 
     def test_line_variances_unequal_weights(self):
         net = make_line(2, [2.0, 3.0])
-        assert subtree_stats(net, 2).variance == 9.0
-        assert subtree_stats(net, 1).variance == 13.0
+        assert carried(net, 2) == 9.0
+        assert carried(net, 1) == 13.0
 
     def test_the_constructor_checks_what_the_builders_pass_on(self):
         with pytest.raises(TreeError, match="^node 2: weight must be nonzero$"):
@@ -146,137 +154,165 @@ class TestConstructors:
 class TestSubtrees:
     def test_leaf_stats(self):
         net = make_line(2, [1.0, 0.5])
-        stats = subtree_stats(net, 2)
-        assert stats.members == frozenset({2})
-        assert stats.variance == 0.25
+        assert net.cascade.subtree(2) == (2,)
+        assert carried(net, 2) == 0.25
 
     def test_star_child_is_leaf(self):
         net = star(3)
-        stats = subtree_stats(net, 1)
-        assert stats.members == frozenset({1})
-        assert stats.variance == 1.0
+        assert net.cascade.subtree(1) == (1,)
+        assert carried(net, 1) == 1.0
 
     def test_unknown_node(self):
         net = make_line(2, [1.0, 1.0])
-        with pytest.raises(TreeError):
-            subtree_stats(net, 9)
+        with pytest.raises(TreeError, match="^unknown node id 9$"):
+            bounds.derive_distortions(net, {1: 0.1, 2: 0.1, 9: 0.1})
 
     def test_root_variance_of_aggregation_tree(self):
-        # The sink carries no weight: the root's subtree sums every source.
+        # The sink carries no weight: the links into it carry every source.
         net = TreeNetwork(root=0, parents={1: 0, 2: 1, 3: 0}, weights={1: 1.0, 2: 2.0, 3: 3.0})
-        stats = subtree_stats(net, net.root)
-        assert stats.members == frozenset({0, 1, 2, 3})
-        assert stats.variance == 1.0 + 4.0 + 9.0
+        assert sorted(net.cascade.subtree(net.root)) == [0, 1, 2, 3]
+        assert carried(net, 1) + carried(net, 3) == 1.0 + 4.0 + 9.0
 
     def test_root_variance_of_consensus_tree(self):
+        # Every node's square and the variances carried into it make up
+        # the total variance.
         net = TreeNetwork(root=1, parents={0: 1, 2: 1}, weights={0: 1.0, 1: 2.0, 2: 3.0})
-        stats = subtree_stats(net, net.root)
-        assert stats.members == frozenset({0, 1, 2})
-        assert stats.variance == 1.0 + 4.0 + 9.0
+        assert sorted(net.cascade.subtree(net.root)) == [0, 1, 2]
+        assert 4.0 + carried(net, (0, 1), True) + carried(net, (2, 1), True) == 1.0 + 4.0 + 9.0
+        assert 1.0 + carried(net, (1, 0), True) == 14.0
 
     def test_root_variance_squares_by_multiplication(self):
         # pow is not always correctly rounded: here w ** 2 is one ulp above w * w.
         w = 1.3554200642307423
         assert w**2 != w * w
-        assert subtree_stats(TreeNetwork(0, {}, {0: w}), 0).variance == w * w
+        net = TreeNetwork(0, {1: 0}, {0: w, 1: 1.0})
+        assert carried(net, (0, 1), True) == w * w
+        assert carried(make_line(1, [w]), 1) == w * w
 
 
 class TestDirectedTrees:
+    # Each node's sum runs over exactly its directed tree, in gausstree
+    # and in the reference.
     def test_line_towards_stored_root(self):
         net = make_consensus_line([1.0, 1.0, 1.0])
-        assert set(directed_tree(net, 0)) == {DirectedEdge(2, 1), DirectedEdge(1, 0)}
+        tree = [(1, 0), (2, 1)]
+        assert reference.Tree(net).directed_tree(0) == tree
+        assert tree_sums(net)[0] == link_values(net, tree)
 
     def test_line_rerooted_at_far_end(self):
         net = make_consensus_line([1.0, 1.0, 1.0])
-        assert set(directed_tree(net, 2)) == {DirectedEdge(0, 1), DirectedEdge(1, 2)}
+        tree = [(0, 1), (1, 2)]
+        assert reference.Tree(net).directed_tree(2) == tree
+        assert tree_sums(net)[2] == link_values(net, tree)
 
     def test_star_rerooted_at_leaf(self):
         net = star(2)
-        assert set(directed_tree(net, 1)) == {DirectedEdge(2, 0), DirectedEdge(0, 1)}
+        tree = [(0, 1), (2, 0)]
+        assert reference.Tree(net).directed_tree(1) == tree
+        assert tree_sums(net)[1] == link_values(net, tree)
 
     def test_edge_count(self):
         net = star(4)
+        ref, sums = reference.Tree(net), tree_sums(net)
         for k in net.node_ids:
-            assert len(directed_tree(net, k)) == net.n_nodes - 1
+            tree = ref.directed_tree(k)
+            assert len(tree) == net.n_nodes - 1
+            assert sums[k] == link_values(net, tree)
 
 
 class TestOrientedSubtrees:
     def test_line_towards_root(self):
         net = make_consensus_line([1.0, 1.0, 1.0])
-        stats = oriented_subtree_stats(net, (1, 0))
-        assert stats.members == frozenset({1, 2})
-        assert stats.variance == 2.0
+        assert sorted(net.cascade.members((1, 0))) == [1, 2]
+        assert carried(net, (1, 0), True) == 2.0
 
     def test_line_away_from_root_includes_root_weight(self):
         net = make_consensus_line([2.0, 1.0, 1.0])
-        stats = oriented_subtree_stats(net, (1, 2))
-        assert stats.members == frozenset({0, 1})
-        assert stats.variance == 5.0
+        assert sorted(net.cascade.members((1, 2))) == [0, 1]
+        assert carried(net, (1, 2), True) == 5.0
 
     def test_leaf_edge(self):
         net = make_consensus_line([1.0, 1.0, 0.5])
-        stats = oriented_subtree_stats(net, (2, 1))
-        assert stats.members == frozenset({2})
-        assert stats.variance == 0.25
+        assert net.cascade.members((2, 1)) == (2,)
+        assert carried(net, (2, 1), True) == 0.25
 
     def test_non_adjacent_pair_rejected(self):
         net = make_consensus_line([1.0, 1.0, 1.0])
+        d = {e: 0.1 for e in reference.Tree(net).edges()}
         with pytest.raises(TreeError, match="not adjacent"):
-            oriented_subtree_stats(net, (0, 2))
+            bounds.consensus_derive(net, {**d, (0, 2): 0.1})
+
+
+def multiplicity(net: TreeNetwork, edge) -> int:
+    view = net.links(True)
+    return view.mult[view.index[edge]]
 
 
 class TestEdgeMultiplicity:
     def test_line_end_edges(self):
         net = make_consensus_line([1.0, 1.0, 1.0])
-        assert edge_multiplicity(net, (1, 0)) == 1
-        assert edge_multiplicity(net, (1, 2)) == 1
-        assert edge_multiplicity(net, (0, 1)) == 2
+        uses = reference.Tree(net).multiplicities()
+        for edge, m in [((1, 0), 1), ((1, 2), 1), ((0, 1), 2)]:
+            assert multiplicity(net, edge) == uses[edge] == m
 
     def test_star_multiplicities(self):
         net = star(4)
-        assert edge_multiplicity(net, (0, 1)) == 1
-        assert edge_multiplicity(net, (1, 0)) == 4
+        uses = reference.Tree(net).multiplicities()
+        assert multiplicity(net, (0, 1)) == uses[(0, 1)] == 1
+        assert multiplicity(net, (1, 0)) == uses[(1, 0)] == 4
 
     def test_matches_directed_tree_enumeration(self):
         rng = np.random.default_rng(3)
         net = random_tree(rng, 9, mode="consensus")
-        for e in directed_edges(net):
-            count = sum(e in directed_tree(net, k) for k in net.node_ids)
-            assert count == edge_multiplicity(net, e)
+        ref = reference.Tree(net)
+        for e in ref.edges():
+            count = sum(e in ref.directed_tree(k) for k in net.node_ids)
+            assert count == multiplicity(net, e)
 
 
-@given(seed=st.integers(0, 10_000), n=st.integers(1, 12))
-def test_variance_recursion_is_exact(seed, n):
-    net = random_tree(np.random.default_rng(seed), n)
-    for node in net.node_ids:
-        expected = net.weight(node) ** 2 + sum(
-            net.subtree_variances[c] for c in net.children_of(node)
-        )
-        assert net.subtree_variances[node] == pytest.approx(expected, rel=1e-15, abs=0)
+@given(
+    shape=st.sampled_from(["line", "star", "caterpillar", "random"]),
+    n=st.integers(2, 300),
+    seed=st.integers(0, 2**32 - 1),
+    consensus=st.booleans(),
+)
+def test_carried_variances_are_within_their_forward_error_bound(shape, n, seed, consensus):
+    # A carried variance is a nested fsum, so it need not equal the fsum of
+    # squares over its members; it must lie within the bound of its nesting.
+    net = shaped_tree(np.random.default_rng(seed), shape, n, "consensus" if consensus else "aggregation")
+    view, ref = net.links(consensus), reference.Tree(net)
+    for k, (src, dst) in enumerate(zip(view.src, view.dst)):
+        want = ref.variance(ref.side(src, dst))
+        assert abs(view.carried[k] - want) <= ref.carried_error_bound(src, dst, want)
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 10))
 def test_directed_tree_edge_total(seed, n):
     net = random_tree(np.random.default_rng(seed), n, mode="consensus")
-    total = sum(len(directed_tree(net, k)) for k in net.node_ids)
-    assert total == net.n_nodes * (net.n_nodes - 1)
+    ref = reference.Tree(net)
+    total = sum(len(ref.directed_tree(k)) for k in net.node_ids)
+    assert total == sum(net.links(True).mult) == net.n_nodes * (net.n_nodes - 1)
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 10))
 def test_multiplicities_split_the_node_count(seed, n):
     net = random_tree(np.random.default_rng(seed), n, mode="consensus")
-    for e in directed_edges(net):
-        assert edge_multiplicity(net, e) + edge_multiplicity(net, e.reversed()) == net.n_nodes
+    uses = reference.Tree(net).multiplicities()
+    for src, dst in uses:
+        assert multiplicity(net, (src, dst)) + multiplicity(net, (dst, src)) == net.n_nodes
+        assert uses[(src, dst)] + uses[(dst, src)] == net.n_nodes
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 10))
 def test_oriented_subtree_agrees_with_rooted_subtree(seed, n):
+    # Under an unweighted sink, the consensus view's uplinks carry what
+    # the aggregation view's do, over the same members.
     net = random_tree(np.random.default_rng(seed), n)
-    for i in net.sources:
-        oriented = oriented_subtree_stats(net, (i, net.parents[i]))
-        rooted = subtree_stats(net, i)
-        assert oriented.members == rooted.members
-        assert oriented.variance == rooted.variance
+    agg, cons = net.links(), net.links(True)
+    for k, i in enumerate(agg.keys):
+        uplink = (i, net.parents[i])
+        assert net.cascade.members(uplink) == net.cascade.subtree(i)
+        assert cons.carried[cons.index[uplink]] == agg.carried[k]
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 10))

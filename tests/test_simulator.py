@@ -6,13 +6,7 @@ import pytest
 from gausstree import allocation, bounds
 from gausstree.errors import ConsistencyError, InfeasibleError, InputError
 from gausstree.infomeasures import test_channel_rate_bits as channel_rate_bits
-from gausstree.network import (
-    TreeNetwork,
-    directed_edges,
-    directed_tree,
-    make_consensus_line,
-    make_line,
-)
+from gausstree.network import TreeNetwork, make_consensus_line, make_line
 from gausstree.simulator import (
     SimulationConfig,
     analytic_mmse_check,
@@ -23,8 +17,8 @@ from gausstree.simulator import (
     simulate_test_channel,
 )
 
+import reference
 from helpers import (
-    bfs_side,
     equal_split,
     fixed_fraction_d,
     random_feasible_consensus_d,
@@ -156,8 +150,9 @@ class TestAnalyticConsensus:
             net = random_tree(rng, int(rng.integers(2, 8)), mode="consensus")
             d = random_feasible_consensus_d(rng, net)
             model = analytic_mmse_check(net, d, mode="consensus")
+            ref = reference.Tree(net)
             for k in net.node_ids:
-                expected = math.fsum(d[e] for e in directed_tree(net, k))
+                expected = math.fsum(d[e] for e in ref.directed_tree(k))
                 assert model.per_root[k] == pytest.approx(expected, rel=1e-10)
 
     def test_unknown_mode(self):
@@ -185,15 +180,16 @@ class TestAnalyticIdentities:
         net = shaped_tree(np.random.default_rng(n_nodes), shape, n_nodes, mode)
         d = fixed_fraction_d(net, 0.3, consensus)
         model = analytic_mmse_check(net, d, mode)
+        ref = reference.Tree(net)
         sinks = net.node_ids if consensus else (net.root,)
-        trees = {k: directed_tree(net, k) for k in sinks}
-        key = (lambda e: e) if consensus else (lambda e: e.src)
+        trees = {k: ref.directed_tree(k) for k in sinks}
+        key = (lambda e: e) if consensus else (lambda e: e[0])
         position = {link: k for k, link in enumerate(model.link_order)}
-        edges = directed_edges(net) if consensus else trees[net.root]
+        edges = ref.edges() if consensus else trees[net.root]
         for e in edges:
-            link, side = key(e), bfs_side(net, e.src, e.dst)
-            tree = trees[e.dst if consensus else net.root]
-            upstream = math.fsum(d[key(f)] for f in tree if f != e and f.src in side)
+            link, side = key(e), ref.side(*e)
+            tree = trees[e[1] if consensus else net.root]
+            upstream = math.fsum(d[key(f)] for f in tree if f != e and f[0] in side)
             rx = model.rx[link]
             assert abs(model.inc[link] - d[link]) <= 1e-10 * d[link]
             assert abs(model.tx[link] - upstream) <= 1e-10 * rx
