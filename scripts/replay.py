@@ -39,6 +39,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import random
@@ -196,6 +197,17 @@ def corpus(files: dict[str, object]) -> list[list[str]]:
     add("bounds", "--tree", "malformed.json", "--D", "0.1")
     for line_n, budgets in [("1..6", "1e-2,1e-6"), ("2,4", "1e-3,inf"), ("2", "1e308")]:
         add("gap-sweep", "--line-n", line_n, "--D", budgets)
+    # Appended, so that the cases before them keep their place in a sample:
+    # the CLI paths no case above reaches.
+    sim = ["--N", "200", "--trials", "5", "--seed", "3"]
+    add("simulate", "--tree", "agg-random-8.json", "--scheme", "dither",
+        "--d-per-link", "agg-random-8.feasible.json", *sim)
+    add("consensus-simulate", "--tree", "cons-random-8.json",
+        "--d-per-link", "cons-random-8.feasible.json", *sim)
+    for line_n in ("2..10000", "10000"):  # a line of MAX_NODES + 1 nodes
+        add("gap-sweep", "--line-n", line_n, "--D", "1e-2")
+    files["error-nan-literal.json"] = {"root": 0, "nodes": [node(1, math.nan, parent=0)]}
+    add("bounds", "--tree", "error-nan-literal.json", "--D", "0.1")
     return cases
 
 

@@ -14,8 +14,9 @@ tree.  One private loop per log term (the outer bound, which the gap
 reuses with ``rx``, and the link rates, which the cut-set bound reuses
 with ``rx``) runs over one mode's :class:`~gausstree.network.LinkSet`,
 whose ``variances`` is the test-channel recursion.  Private functions take
-checked lists indexed by link; public ones check a caller's map once
-(:meth:`~gausstree.network.LinkSet.read`) and key what they return.
+checked lists indexed by link, and every CLI path reaches the bounds
+through them; a public function that takes a caller's map checks it once
+(:meth:`~gausstree.network.LinkSet.read`) and keys what it returns.
 
 The accumulation sums are the view's exact sums, O(n) in both modes:
 ``tx`` equals ``math.fsum`` over the strictly upstream links and
@@ -32,7 +33,7 @@ explicitly instead of hiding it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import fsum, log2
 from typing import Mapping
 
@@ -44,25 +45,15 @@ __all__ = [
     "BoundsReport",
     "ConsensusProfile",
     "DistortionProfile",
-    "GapReport",
-    "InnerBound",
     "OuterBound",
     "classical_consensus_comparator_bits",
-    "consensus_derive",
-    "consensus_inner",
-    "consensus_outer",
     "consensus_report",
-    "cutset_bound",
     "derive_distortions",
     "full_report",
-    "gap_report",
-    "inner_bound",
     "inner_bound_minimized",
     "line_gap_asymptote",
     "outer_bound_closed_form",
     "outer_bound_incremental",
-    "outer_bound_penalty",
-    "test_channel_variances",
 ]
 
 #: Slack allowed before the test-channel variance recursion is declared
@@ -135,26 +126,13 @@ def _accumulate(view: LinkSet, inc: list) -> tuple[list, list, list, float]:
 
 
 def _derive(view: LinkSet, inc: list) -> DistortionProfile | ConsensusProfile:
-    # derive_distortions or consensus_derive for checked distortions.
+    # The keyed profile of checked distortions, in either mode.
     tx, rx, per_sink, total = _accumulate(view, inc)
     inc, tx, rx = view.keyed(inc), view.keyed(tx), view.keyed(rx)
     if view.mode == "consensus":
         per_root = dict(zip(view.sinks, per_sink))
         return ConsensusProfile(inc=inc, tx=tx, rx=rx, per_root=per_root, total=total)
     return DistortionProfile(inc=inc, tx=tx, rx=rx, total=total)
-
-
-def consensus_derive(
-    net: TreeNetwork, inc: Mapping[tuple[int, int], float]
-) -> ConsensusProfile:
-    """Derived distortions for consensus: one fold over the directed links.
-
-    ``tx[b -> a]`` sums ``inc`` over the edges strictly below ``b -> a``
-    in the directed tree towards ``a``; ``per_root[k]`` sums ``inc`` over
-    the full directed tree towards ``k``.
-    """
-    view = _consensus_view(net)
-    return _derive(view, view.read(inc, "incremental distortions"))
 
 
 def _require_budget(total_distortion: float) -> None:
@@ -167,14 +145,18 @@ def _require_links(net: TreeNetwork) -> None:
         raise InputError("aggregation needs at least one node besides the root")
 
 
-def _consensus_view(net: TreeNetwork) -> LinkSet:
-    # The consensus links, once every node is weighted and there are two.
+def _require_consensus(net: TreeNetwork) -> None:
     if not net.fully_weighted:
         raise InputError(
             "consensus computations need a weight on every node, including the root"
         )
     if net.n_nodes < 2:
         raise InputError("consensus needs at least two nodes")
+
+
+def _consensus_view(net: TreeNetwork) -> LinkSet:
+    # The consensus links, once every node is weighted and there are two.
+    _require_consensus(net)
     return net.links(True)
 
 
@@ -182,24 +164,13 @@ def _consensus_view(net: TreeNetwork) -> LinkSet:
 # outer bounds
 
 
-def outer_bound_penalty(net: TreeNetwork, i: int, x: float) -> float:
-    """Square-root penalty discounted from the per-link outer bound.
-
-    ``x / (2 w_i^2) + log2(e) / (2 s2) * sqrt(2 x (4 s2 + x))`` with
-    ``s2`` the subtree variance of node ``i``.  Zero at ``x = 0``,
-    strictly increasing, and of order ``sqrt(x)`` for small ``x``.
-    """
-    net.cascade.node(i)
-    if i == net.root:
-        raise InputError("the root has no uplink, so no penalty term")
-    view = net.links()
-    return _link_penalty(view, view.index[i], x)
-
-
 def _link_penalty(view: LinkSet, link: int, x: float) -> float:
-    """:func:`outer_bound_penalty` for a link of the view, read with the
-    variance it carries and the weight of its transmitting node (a
-    consensus edge uses its oriented subtree and its ``src``)."""
+    """Square-root penalty discounted from the outer bound of ``link``:
+    ``x / (2 w^2) + log2(e) / (2 s2) * sqrt(2 x (4 s2 + x))``, with ``s2``
+    the variance the link carries and ``w`` the weight of its transmitting
+    node (a consensus edge uses its oriented subtree and its ``src``).
+    Zero at ``x = 0``, strictly increasing, and of order ``sqrt(x)`` for
+    small ``x``."""
     if not (x >= 0.0 and math.isfinite(x)):
         raise InputError(f"penalty argument must be non-negative, got {x!r}")
     s2, w2 = view.carried[link], view.own[link]
@@ -220,11 +191,7 @@ def outer_bound_incremental(net: TreeNetwork, profile: DistortionProfile) -> Out
     Per link: ``0.5 * (log2(s2_i / inc_i) - penalty_i(tx_i))``, reported
     raw (no clipping).
     """
-    return _keyed_outer_bound(net.links(), profile)
-
-
-def _keyed_outer_bound(view: LinkSet, profile) -> OuterBound:
-    # outer_bound_incremental or consensus_outer of a caller's profile.
+    view = net.links()
     total, per_link = _outer_bound(view, view.listed(profile.inc), view.listed(profile.tx))
     return OuterBound(total, view.keyed(per_link))
 
@@ -264,44 +231,12 @@ def outer_bound_closed_form(net: TreeNetwork, total_distortion: float) -> float:
     return fsum(_link_rates(view, share)) - 0.5 * penalty
 
 
-def cutset_bound(net: TreeNetwork, profile: DistortionProfile) -> float:
-    """Cut-set outer bound ``0.5 * sum_i log2(s2_i / rx_i)``."""
-    view = net.links()
-    return fsum(_link_rates(view, view.listed(profile.rx)))
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Difference between the incremental and cut-set outer bounds."""
-
-    delta_r_bits: float
-    per_link_bits: dict
-
-
-def gap_report(net: TreeNetwork, profile: DistortionProfile) -> GapReport:
-    """Per-link and total gap ``incremental bound - cut-set bound``.
-
-    Each link contributes ``0.5 * log2(rx_i / inc_i) - 0.5 * penalty_i(tx_i)``;
-    leaves contribute exactly zero.
-    """
-    view = net.links()
-    inc, tx, rx = view.listed(profile.inc), view.listed(profile.tx), view.listed(profile.rx)
-    total, per_link = _outer_bound(view, inc, tx, rx)
-    return GapReport(total, view.keyed(per_link))
-
-
 def line_gap_asymptote(n: int) -> float:
     """Small-distortion gap ``0.5 * log2(n!)`` on an equal-weight line,
     computed as a log sum so large ``n`` cannot overflow."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f"line length must be a positive integer, got {n!r}")
     return 0.5 * fsum(log2(k) for k in range(1, n + 1))
-
-
-def consensus_outer(net: TreeNetwork, profile: ConsensusProfile) -> OuterBound:
-    """Incremental-distortion outer bound on the consensus sum rate,
-    summed over all directed edges with oriented-subtree variances."""
-    return _keyed_outer_bound(_consensus_view(net), profile)
 
 
 def classical_consensus_comparator_bits(n: int, total_distortion: float) -> float:
@@ -316,20 +251,6 @@ def classical_consensus_comparator_bits(n: int, total_distortion: float) -> floa
 
 # ---------------------------------------------------------------------------
 # inner bounds (test-channel recursions)
-
-
-def test_channel_variances(net: TreeNetwork, d: Mapping[int, float]) -> dict[int, float]:
-    """Estimate variances of the aggregation test-channel cascade.
-
-    Leaves start at ``w^2``; an inner node adds its own ``w^2`` to the
-    description variances ``sigma_hat^2 - d`` of its children.  Raises
-    :class:`~gausstree.errors.InfeasibleError` when some ``d_i`` exceeds
-    the variance the channel at ``i`` would have to describe.  The result
-    never exceeds the subtree variances; a violation beyond round-off is
-    reported as an internal-consistency failure.
-    """
-    view = net.links()
-    return view.keyed(_test_channel_variances(view, view.read(d, "distortion parameters")))
 
 
 def _test_channel_variances(view: LinkSet, d: list) -> list:
@@ -352,38 +273,12 @@ def _test_channel_variances(view: LinkSet, d: list) -> list:
     return view.variances(describe)
 
 
-@dataclass(frozen=True)
-class InnerBound:
-    """Achievable (rate, distortion) pair in the infinite-blocklength limit."""
-
-    rate_bits: float
-    distortion: float
-    sigma_hat: dict = field(repr=False)
-    per_link_rate_bits: dict = field(repr=False)
-
-
-def inner_bound(net: TreeNetwork, d: Mapping[int, float]) -> InnerBound:
-    """Gaussian-codebook inner bound for aggregation.
-
-    Rate ``0.5 * sum_i log2(s2_i / d_i)`` (subtree variances upper-bound
-    the test-channel variances, so this is achievable) and distortion
-    ``sum_i d_i``; validates the test-channel variance recursion.
-    """
-    view = net.links()
-    return _inner_bound(view, view.read(d, "distortion parameters"))
-
-
-def _inner_bound(view: LinkSet, d: list, distortion: float | None = None) -> InnerBound:
-    # inner_bound or consensus_inner for checked distortions; a caller holding
-    # their end-to-end distortion passes it instead of summing d again.
-    sigma_hat = _test_channel_variances(view, d)
+def _inner_bound(view: LinkSet, d: list) -> tuple[float, list]:
+    # (sum rate, per link) of the Gaussian-codebook inner bound for checked
+    # distortion parameters, once the test-channel recursion accepts them.
+    _test_channel_variances(view, d)
     per_link = _link_rates(view, d)
-    return InnerBound(
-        rate_bits=fsum(per_link),
-        distortion=view.sums(d)[2] if distortion is None else distortion,
-        sigma_hat=view.keyed(sigma_hat),
-        per_link_rate_bits=view.keyed(per_link),
-    )
+    return fsum(per_link), per_link
 
 
 def _link_rates(view: LinkSet, inc: list) -> list:
@@ -405,13 +300,6 @@ def inner_bound_minimized(net: TreeNetwork, total_distortion: float) -> float:
     share = view.positive(view.split(total_distortion), "distortion parameters")
     _test_channel_variances(view, share)
     return fsum(_link_rates(view, share))
-
-
-def consensus_inner(net: TreeNetwork, d: Mapping[tuple[int, int], float]) -> InnerBound:
-    """Gaussian-codebook inner bound for consensus: rate summed over all
-    directed edges, distortion summed per root over its directed tree."""
-    view = _consensus_view(net)
-    return _inner_bound(view, view.read(d, "distortion parameters"))
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +439,9 @@ def full_report(
     outer, _ = _outer_bound(view, inc, tx)
     cut = fsum(_link_rates(view, rx))
     closed = outer_bound_closed_form(net, total_distortion)
-    inner = _inner_bound(view, inc, total)
+    inner, per_link = _inner_bound(view, inc)
     # An equal split has just been rated, and checked, by the inner bound.
-    minimized = inner.rate_bits if equal_split else inner_bound_minimized(net, total_distortion)
+    minimized = inner if equal_split else inner_bound_minimized(net, total_distortion)
     gap, _ = _outer_bound(view, inc, tx, rx)
     return BoundsReport(
         mode="aggregation",
@@ -561,11 +449,11 @@ def full_report(
         outer_incremental_bits=outer,
         cutset_bits=cut,
         outer_closed_form_bits=closed,
-        inner_bits=inner.rate_bits,
+        inner_bits=inner,
         inner_minimized_bits=minimized,
-        gap_inner_outer_bits=inner.rate_bits - outer,
+        gap_inner_outer_bits=inner - outer,
         gap_incremental_cutset_bits=gap,
-        per_link_rates_bits=inner.per_link_rate_bits,
+        per_link_rates_bits=view.keyed(per_link),
         regime_warnings=tuple(_regime_warnings(view, inc).values()),
     )
 
@@ -583,18 +471,18 @@ def _consensus_report(net: TreeNetwork, inc: list, tx: list, total: float) -> Bo
     # consensus_report for checked distortions and their upstream sums.
     view = net.links(True)
     outer, _ = _outer_bound(view, inc, tx)
-    inner = _inner_bound(view, inc, total)
+    inner, per_link = _inner_bound(view, inc)
     return BoundsReport(
         mode="consensus",
         total_distortion=total,
         outer_incremental_bits=outer,
         cutset_bits=None,
         outer_closed_form_bits=None,
-        inner_bits=inner.rate_bits,
+        inner_bits=inner,
         inner_minimized_bits=None,
-        gap_inner_outer_bits=inner.rate_bits - outer,
+        gap_inner_outer_bits=inner - outer,
         gap_incremental_cutset_bits=None,
-        per_link_rates_bits=inner.per_link_rate_bits,
+        per_link_rates_bits=view.keyed(per_link),
         classical_comparator_bits=classical_consensus_comparator_bits(net.n_nodes, total),
         regime_warnings=tuple(_regime_warnings(view, inc).values()),
     )

@@ -471,12 +471,19 @@ def _cmd_validate(args) -> int:
         modes = ["consensus"]
     else:
         modes = ["aggregation"] + (["consensus"] if net.fully_weighted else [])
+    if args.D is not None and not args.d_per_link:
+        _budget(args)  # a bad budget is refused before any check of the tree
     summary: dict[str, object] = {}
     for mode in modes:
-        if args.d_per_link or args.D is not None:
+        if args.d_per_link:  # a map is read before the oracle checks the tree
             d = _MODE_D[mode](args, net)
         else:
-            d = _default_d(net.links(mode == "consensus"))
+            # Counted from n, before the allocation or the default d builds a view.
+            simulator._check_oracle_size(net, mode)
+            if args.D is not None:
+                d = _MODE_D[mode](args, net)
+            else:
+                d = _default_d(net.links(mode == "consensus"))
         model = simulator.analytic_mmse_check(net, d, mode=mode)
         summary[mode] = {
             "links_checked": len(model.inc),

@@ -92,7 +92,6 @@ __all__ = [
     "LinkSet",
     "TreeError",
     "TreeNetwork",
-    "make_consensus_line",
     "make_line",
     "parse_tree",
 ]
@@ -514,22 +513,6 @@ class TreeNetwork:
             tuple(cascade.multiplicity(e) for e in edges), nodes, nodes,
         )
 
-    # -- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        nodes = []
-        for i in self.node_ids:
-            if i == self.root and not self.fully_weighted:
-                continue
-            entry: dict[str, object] = {"id": i, "weight": self.weights[i]}
-            if i != self.root:
-                entry["parent"] = self.parents[i]
-            nodes.append(entry)
-        return {"root": self.root, "nodes": nodes}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def parse_tree(text: str) -> TreeNetwork:
     """Parse a tree document (see the module docstring for the format).
@@ -592,12 +575,4 @@ def make_line(n: int, weights: Sequence[float]) -> TreeNetwork:
         raise TreeError(f"expected {n} weights, got {len(weights)}")
     parents = {i: i - 1 for i in range(1, n + 1)}
     return TreeNetwork(root=0, parents=parents, weights=dict(enumerate(weights, start=1)))
-
-
-def make_consensus_line(weights: Sequence[float]) -> TreeNetwork:
-    """Fully weighted line network on ``len(weights)`` nodes, rooted at 0."""
-    if len(weights) < 1:
-        raise TreeError("a consensus line needs at least one node")
-    parents = {i: i - 1 for i in range(1, len(weights))}
-    return TreeNetwork(root=0, parents=parents, weights=dict(enumerate(weights)))
 

@@ -60,7 +60,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "analytic_mmse_check",
-    "matched_test_channel_distortions",
     "simulate_aggregation",
     "simulate_consensus",
     "simulate_dithered_baseline",
@@ -238,6 +237,29 @@ def _check_psd(cov: np.ndarray) -> None:
         )
 
 
+def _check_oracle_size(net: TreeNetwork, mode: str) -> None:
+    """Refuse, as :class:`~gausstree.errors.InputError`, a tree that
+    ``mode`` cannot serve, then one whose dense model would exceed
+    ``_ORACLE_MAX_VARIABLES``: every observing node's data and each link's
+    description and estimate, ``3(n-1)`` in aggregation and ``5n-4`` in
+    consensus.  Counted from ``n``, so no view is built for a tree refused."""
+    n = net.n_nodes
+    if mode == "consensus":
+        bounds._require_consensus(net)
+        variables = n + 4 * (n - 1)
+    elif mode == "aggregation":
+        bounds._require_links(net)
+        variables = 3 * (n - 1)
+    else:
+        raise InputError(f"unknown mode {mode!r}")
+    if variables > _ORACLE_MAX_VARIABLES:
+        raise InputError(
+            f"the exact oracle would hold {variables} variables for this {mode} tree "
+            f"(observing nodes plus two per link); its dense algebra is limited to "
+            f"{_ORACLE_MAX_VARIABLES}"
+        )
+
+
 def analytic_mmse_check(
     net: TreeNetwork, d: Mapping, mode: str = "aggregation"
 ) -> AnalyticModel:
@@ -253,26 +275,14 @@ def analytic_mmse_check(
     sum over its directed tree.  Violations raise
     :class:`~gausstree.errors.ConsistencyError`.  A tree whose model
     would exceed ``_ORACLE_MAX_VARIABLES`` is refused up front with an
-    :class:`~gausstree.errors.InputError`.
+    :class:`~gausstree.errors.InputError` (:func:`_check_oracle_size`).
 
     One body serves both modes: aggregation checks the uplinks (keyed by
     source node) and the one sink ``net.root``, whose weight is ignored;
     consensus checks every directed edge, and every node is a sink.
     """
-    if mode == "consensus":
-        view = bounds._consensus_view(net)
-    elif mode == "aggregation":
-        bounds._require_links(net)
-        view = net.links()
-    else:
-        raise InputError(f"unknown mode {mode!r}")
-    variables = len(view.observers) + 2 * len(view.keys)
-    if variables > _ORACLE_MAX_VARIABLES:
-        raise InputError(
-            f"the exact oracle would hold {variables} variables for this {mode} tree "
-            f"(observing nodes plus two per link); its dense algebra is limited to "
-            f"{_ORACLE_MAX_VARIABLES}"
-        )
+    _check_oracle_size(net, mode)
+    view = net.links(mode == "consensus")
     d = view.read(d, "distortion parameters")
     sigma_hat = bounds._test_channel_variances(view, d)
     nodes, links, src, dst, into = view.observers, view.keys, view.src, view.dst, view.into
@@ -615,28 +625,6 @@ def _dither_design(view: LinkSet, rates: list):
         return variance + step[k] ** 2 / 12.0 if rates[k] > 0.0 else 0.0
 
     return view.variances(design), step, clip
-
-
-def matched_test_channel_distortions(
-    net: TreeNetwork, rates: Mapping[int, float]
-) -> dict[int, float]:
-    """Distortions the test-channel scheme achieves at the given rates:
-    ``d_i = sigma_hat_i^2 * 4**(-R_i)`` along the variance recursion.
-    Refuses, as :class:`~gausstree.errors.InputError`, a link without a
-    rate and a rate that is not non-negative and finite."""
-    view = net.links()
-    for key in view.keys:
-        if key not in rates:
-            raise InputError(f"link {key}: no rate given")
-    rate = [_check_rate(view, k, float(rates[key])) for k, key in enumerate(view.keys)]
-    d = [0.0] * len(view.keys)
-
-    def describe(k: int, sigma_hat: float) -> float:
-        d[k] = sigma_hat * 4.0 ** -rate[k]
-        return sigma_hat - d[k]
-
-    view.variances(describe)
-    return view.keyed(d)
 
 
 def simulate_dithered_baseline(

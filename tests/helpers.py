@@ -1,11 +1,77 @@
-"""Shared test fixtures: random networks and random feasible distortions."""
+"""Shared test fixtures: random networks, random feasible distortions, tree
+documents, and keyed access to the per-link formulas of ``bounds``."""
 
 from __future__ import annotations
+
+import json
+import math
 
 import numpy as np
 
 import reference
+from gausstree import bounds
 from gausstree.network import TreeNetwork
+
+
+class Keyed:
+    """The list functions of ``bounds`` on one mode's links, with maps keyed
+    by link in and out: a test hands in ``{node: d}`` or ``{(src, dst): d}``
+    and looks results up by link.  Consensus needs a weight on every node
+    and two nodes, as every consensus function does."""
+
+    def __init__(self, net: TreeNetwork, consensus: bool = False) -> None:
+        self.view = bounds._consensus_view(net) if consensus else net.links()
+
+    def derive(self, inc: dict):
+        """The distortion profile of ``inc``."""
+        return bounds._derive(self.view, self.view.read(inc, "incremental distortions"))
+
+    def penalty(self, key, x: float) -> float:
+        """The square-root penalty of link ``key`` at ``x``."""
+        return bounds._link_penalty(self.view, self.view.index[key], x)
+
+    def outer(self, profile) -> tuple[float, dict]:
+        """The incremental outer bound of ``profile``, in all and per link."""
+        return self._outer_bound(profile.inc, profile.tx)
+
+    def gap(self, profile) -> tuple[float, dict]:
+        """The incremental minus the cut-set bound, in all and per link."""
+        return self._outer_bound(profile.inc, profile.tx, profile.rx)
+
+    def _outer_bound(self, *maps: dict) -> tuple[float, dict]:
+        total, per_link = bounds._outer_bound(self.view, *map(self.view.listed, maps))
+        return total, self.view.keyed(per_link)
+
+    def cutset(self, profile) -> float:
+        """The cut-set bound ``0.5 * sum log2(carried / rx)``."""
+        return math.fsum(bounds._link_rates(self.view, self.view.listed(profile.rx)))
+
+    def inner(self, d: dict) -> tuple[float, dict]:
+        """The inner bound's sum rate and per-link rates at ``d``."""
+        rate, per_link = bounds._inner_bound(self.view, self.view.read(d, "distortion parameters"))
+        return rate, self.view.keyed(per_link)
+
+    def sigma_hat(self, d: dict) -> dict:
+        """The test-channel variances at ``d``."""
+        d = self.view.read(d, "distortion parameters")
+        return self.view.keyed(bounds._test_channel_variances(self.view, d))
+
+
+def consensus_line(weights) -> TreeNetwork:
+    """Fully weighted line on ``len(weights)`` nodes, rooted at 0, with
+    ``parent(i) = i - 1``."""
+    parents = {i: i - 1 for i in range(1, len(weights))}
+    return TreeNetwork(root=0, parents=parents, weights=dict(enumerate(weights)))
+
+
+def tree_json(net: TreeNetwork) -> str:
+    """``net`` as a tree document: every weighted node, ascending, with its
+    parent (an unweighted aggregation sink appears only as ``root``)."""
+    nodes = [
+        {"id": i, "weight": w, **({"parent": net.parents[i]} if i in net.parents else {})}
+        for i, w in sorted(net.weights.items())
+    ]
+    return json.dumps({"root": net.root, "nodes": nodes}, sort_keys=True)
 
 
 def random_tree(

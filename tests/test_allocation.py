@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 import reference
 from gausstree import allocation, bounds
 from gausstree.errors import ConsistencyError, InfeasibleError, InputError
-from gausstree.network import TreeNetwork, make_consensus_line, make_line
+from gausstree.network import TreeNetwork, make_line
 
-from helpers import equal_split, random_tree, shaped_tree
+from helpers import Keyed, consensus_line, equal_split, random_tree, shaped_tree
 
 
 class TestEqualSplit:
@@ -99,14 +99,14 @@ def consensus_star(n_leaves: int) -> TreeNetwork:
 
 class TestConsensusAllocation:
     def test_two_node_line_splits_evenly(self):
-        net = make_consensus_line([1.0, 1.0])
+        net = consensus_line([1.0, 1.0])
         result = allocation.allocate_consensus(net, 0.1)
         assert result.method == "consensus-kkt"
         assert result.profile.inc[(0, 1)] == pytest.approx(0.05, rel=1e-15)
         assert result.profile.inc[(1, 0)] == pytest.approx(0.05, rel=1e-15)
 
     def test_inc_inverse_to_multiplicity(self):
-        net = make_consensus_line([1.0, 1.0, 1.0, 1.0])
+        net = consensus_line([1.0, 1.0, 1.0, 1.0])
         d_total = 0.02
         result = allocation.allocate_consensus(net, d_total)
         n_edges = 2 * (net.n_nodes - 1)
@@ -211,8 +211,8 @@ class TestRatesForProfile:
         assert result.warnings
 
     def test_consensus_profile(self):
-        net = make_consensus_line([1.0, 1.0])
-        profile = bounds.consensus_derive(net, {(0, 1): 0.01, (1, 0): 0.01})
+        net = consensus_line([1.0, 1.0])
+        profile = Keyed(net, True).derive({(0, 1): 0.01, (1, 0): 0.01})
         result = allocation.rates_for_profile(net, profile)
         assert result.sum_rate_bits == pytest.approx(6.643856189774724, abs=1e-12)
 
@@ -236,7 +236,7 @@ class TestSerialization:
         }
 
     def test_consensus_csv_rows(self):
-        net = make_consensus_line([1.0, 1.0])
+        net = consensus_line([1.0, 1.0])
         result = allocation.allocate_consensus(net, 0.1, cross_validate=False)
         rows = result.to_csv_rows(net)
         assert rows[0] == ["from", "to", "inc", "rate_bits"]
@@ -252,7 +252,7 @@ def test_penalized_allocator_refuses_a_tree_without_links():
 @pytest.mark.parametrize(
     "net, err",
     [
-        (make_consensus_line([1.0]), "consensus needs at least two nodes"),
+        (consensus_line([1.0]), "consensus needs at least two nodes"),
         (make_line(2, [1.0, 1.0]), "consensus computations need a weight on every node"),
     ],
     ids=["one-node", "unweighted-root"],

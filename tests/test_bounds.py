@@ -7,9 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 import reference
 from gausstree import bounds
 from gausstree.errors import ConsistencyError, InfeasibleError, InputError
-from gausstree.network import TreeNetwork, make_consensus_line, make_line
+from gausstree.network import TreeNetwork, make_line
 
 from helpers import (
+    Keyed,
+    consensus_line,
     equal_split,
     random_feasible_d,
     random_tree,
@@ -75,19 +77,19 @@ class TestDeriveDistortions:
 class TestPenalty:
     def test_zero_argument(self):
         net = make_line(1, [1.0])
-        assert bounds.outer_bound_penalty(net, 1, 0.0) == 0.0
+        assert Keyed(net).penalty(1, 0.0) == 0.0
 
     def test_unit_everything(self):
         net = make_line(1, [1.0])
-        assert bounds.outer_bound_penalty(net, 1, 1.0) == pytest.approx(
+        assert Keyed(net).penalty(1, 1.0) == pytest.approx(
             2.7811011491194377, abs=1e-14
         )
 
     def test_square_root_order_near_zero(self):
         net = make_line(1, [1.0])
         limit = LOG2E * math.sqrt(2.0)  # (log2 e / s2) * sqrt(2 s2) at s2 = 1
-        r10 = bounds.outer_bound_penalty(net, 1, 1e-10) / math.sqrt(1e-10)
-        r12 = bounds.outer_bound_penalty(net, 1, 1e-12) / math.sqrt(1e-12)
+        r10 = Keyed(net).penalty(1, 1e-10) / math.sqrt(1e-10)
+        r12 = Keyed(net).penalty(1, 1e-12) / math.sqrt(1e-12)
         assert r10 == pytest.approx(limit, rel=1e-4)
         assert r12 == pytest.approx(limit, rel=1e-5)
         assert abs(r12 - limit) < abs(r10 - limit)
@@ -97,14 +99,12 @@ class TestPenalty:
         net = make_line(2, [0.7, 1.3])
         lo, hi = sorted((x1, x2))
         if lo < hi:
-            assert bounds.outer_bound_penalty(net, 1, lo) < bounds.outer_bound_penalty(
-                net, 1, hi
-            )
+            assert Keyed(net).penalty(1, lo) < Keyed(net).penalty(1, hi)
 
     def test_negative_argument(self):
         net = make_line(1, [1.0])
         with pytest.raises(InputError):
-            bounds.outer_bound_penalty(net, 1, -0.1)
+            Keyed(net).penalty(1, -0.1)
 
 
 class TestOuterBounds:
@@ -119,7 +119,7 @@ class TestOuterBounds:
         profile = bounds.derive_distortions(net, {1: 0.01, 2: 0.01})
         outer = bounds.outer_bound_incremental(net, profile)
         expected = 0.5 * math.log2(1.0 / 0.01) + 0.5 * (
-            math.log2(2.0 / 0.01) - bounds.outer_bound_penalty(net, 1, 0.01)
+            math.log2(2.0 / 0.01) - Keyed(net).penalty(1, 0.01)
         )
         assert outer.total_bits == pytest.approx(expected, abs=1e-12)
         assert outer.total_bits == pytest.approx(7.069176367590268, abs=1e-12)
@@ -129,7 +129,7 @@ class TestOuterBounds:
         inc = net.links().keyed(net.links().carried)
         profile = bounds.derive_distortions(net, inc)
         outer = bounds.outer_bound_incremental(net, profile)
-        expected = -0.5 * bounds.outer_bound_penalty(net, 1, profile.tx[1])
+        expected = -0.5 * Keyed(net).penalty(1, profile.tx[1])
         assert outer.total_bits == pytest.approx(expected, abs=1e-12)
         assert outer.total_bits <= 0.0
 
@@ -137,7 +137,7 @@ class TestOuterBounds:
         net = make_line(1, [1.0])
         value = bounds.outer_bound_closed_form(net, 0.25)
         assert value == pytest.approx(
-            1.0 - 0.5 * bounds.outer_bound_penalty(net, 1, 0.25), abs=1e-12
+            1.0 - 0.5 * Keyed(net).penalty(1, 0.25), abs=1e-12
         )
 
     def test_closed_form_two_link_line(self):
@@ -164,7 +164,7 @@ class TestCutset:
     def test_single_link_coincides_with_incremental(self):
         net = make_line(1, [1.0])
         profile = bounds.derive_distortions(net, {1: 0.01})
-        assert bounds.cutset_bound(net, profile) == pytest.approx(
+        assert Keyed(net).cutset(profile) == pytest.approx(
             3.321928094887362, abs=1e-12
         )
 
@@ -172,53 +172,52 @@ class TestCutset:
         net = star3_aggregation()
         inc = net.links().keyed(net.links().carried)
         profile = bounds.derive_distortions(net, inc)
-        assert bounds.cutset_bound(net, profile) == pytest.approx(0.0, abs=1e-12)
+        assert Keyed(net).cutset(profile) == pytest.approx(0.0, abs=1e-12)
 
     def test_dominated_by_incremental_at_small_distortion(self):
         net = make_line(3, [1.0, 1.0, 1.0])
         profile = bounds.derive_distortions(net, equal_split(net, 1e-4))
-        assert bounds.outer_bound_incremental(net, profile).total_bits > bounds.cutset_bound(
-            net, profile
-        )
+        assert bounds.outer_bound_incremental(net, profile).total_bits > Keyed(net).cutset(profile)
 
 
 class TestInnerBound:
     def test_single_link(self):
         net = make_line(1, [1.0])
-        inner = bounds.inner_bound(net, {1: 0.01})
-        assert inner.rate_bits == pytest.approx(3.321928094887362, abs=1e-12)
-        assert inner.distortion == 0.01
-        assert inner.sigma_hat == {1: 1.0}
+        keyed = Keyed(net)
+        assert keyed.inner({1: 0.01})[0] == pytest.approx(3.321928094887362, abs=1e-12)
+        assert keyed.derive({1: 0.01}).total == 0.01
+        assert keyed.sigma_hat({1: 0.01}) == {1: 1.0}
 
     def test_two_link_variance_recursion(self):
         net = make_line(2, [1.0, 1.0])
-        inner = bounds.inner_bound(net, {1: 0.01, 2: 0.01})
-        assert inner.sigma_hat[2] == 1.0
-        assert inner.sigma_hat[1] == pytest.approx(1.99, abs=1e-15)
+        d = {1: 0.01, 2: 0.01}
+        sigma_hat = Keyed(net).sigma_hat(d)
+        assert sigma_hat[2] == 1.0
+        assert sigma_hat[1] == pytest.approx(1.99, abs=1e-15)
         ref = reference.Tree(net)
-        assert inner.sigma_hat[1] <= ref.variance(ref.subtree(1))
-        assert inner.rate_bits == pytest.approx(7.143856189774724, abs=1e-12)
+        assert sigma_hat[1] <= ref.variance(ref.subtree(1))
+        assert Keyed(net).inner(d)[0] == pytest.approx(7.143856189774724, abs=1e-12)
 
     def test_full_rate_zero_distortion_parameters(self):
         net = make_line(2, [1.0, 1.0])
         # describe the full test-channel variance at every node
         d2 = 1.0
         d1 = 1.0  # sigma_hat_1 = (1 - 1) + 1 = 1
-        inner = bounds.inner_bound(net, {2: d2, 1: d1})
-        assert inner.sigma_hat == {2: 1.0, 1: 1.0}
-        assert inner.distortion == 2.0
-        assert inner.rate_bits == pytest.approx(0.5 * math.log2(2.0), abs=1e-12)
+        keyed, d = Keyed(net), {2: d2, 1: d1}
+        assert keyed.sigma_hat(d) == {2: 1.0, 1: 1.0}
+        assert keyed.derive(d).total == 2.0
+        assert keyed.inner(d)[0] == pytest.approx(0.5 * math.log2(2.0), abs=1e-12)
 
     def test_infeasible_distortion(self):
         net = make_line(2, [1.0, 1.0])
         with pytest.raises(InfeasibleError, match="node 1"):
-            bounds.inner_bound(net, {2: 0.5, 1: 2.0})
+            Keyed(net).inner({2: 0.5, 1: 2.0})
 
     def test_infeasible_distortion_whose_sum_overflows(self):
         # The test channel refuses the map before its sum is taken.
         net = make_line(2, [1.0, 1.0])
         with pytest.raises(InfeasibleError, match="node 2: distortion 1e"):
-            bounds.inner_bound(net, {1: 1e308, 2: 1e308})
+            Keyed(net).inner({1: 1e308, 2: 1e308})
 
     def test_minimized_two_link(self):
         net = make_line(2, [1.0, 1.0])
@@ -237,8 +236,8 @@ class TestInnerBound:
         rng = np.random.default_rng(seed)
         net = random_tree(rng, n)
         d_total = 0.4 * n * min(net.weights[i] ** 2 for i in net.sources)
-        inner = bounds.inner_bound(net, equal_split(net, d_total))
-        assert inner.rate_bits == pytest.approx(
+        rate, _ = Keyed(net).inner(equal_split(net, d_total))
+        assert rate == pytest.approx(
             bounds.inner_bound_minimized(net, d_total), abs=1e-9
         )
 
@@ -247,29 +246,29 @@ class TestInnerBound:
         rng = np.random.default_rng(seed)
         net = random_tree(rng, n)
         d = random_feasible_d(rng, net)
-        inner = bounds.inner_bound(net, d)
+        sigma_hat = Keyed(net).sigma_hat(d)
         ref = reference.Tree(net)
         for i in net.sources:
-            assert inner.sigma_hat[i] <= ref.variance(ref.subtree(i)) * (1 + 1e-12)
+            assert sigma_hat[i] <= ref.variance(ref.subtree(i)) * (1 + 1e-12)
 
 
 class TestGap:
     def test_single_link_gap_is_zero(self):
         net = make_line(1, [1.0])
         profile = bounds.derive_distortions(net, {1: 0.01})
-        assert bounds.gap_report(net, profile).delta_r_bits == 0.0
+        assert Keyed(net).gap(profile)[0] == 0.0
 
     def test_star_gap_is_zero(self):
         net = star3_aggregation()
         profile = bounds.derive_distortions(net, equal_split(net, 0.03))
-        report = bounds.gap_report(net, profile)
-        assert report.delta_r_bits == 0.0
-        assert all(v == 0.0 for v in report.per_link_bits.values())
+        delta, per_link = Keyed(net).gap(profile)
+        assert delta == 0.0
+        assert all(v == 0.0 for v in per_link.values())
 
     def test_line3_small_distortion_near_asymptote(self):
         net = make_line(3, [1.0, 1.0, 1.0])
         profile = bounds.derive_distortions(net, equal_split(net, 1e-6))
-        delta = bounds.gap_report(net, profile).delta_r_bits
+        delta = Keyed(net).gap(profile)[0]
         assert abs(delta - bounds.line_gap_asymptote(3)) <= 0.05
 
     @given(seed=st.integers(0, 5_000), n=st.integers(1, 12))
@@ -279,10 +278,10 @@ class TestGap:
         profile = bounds.derive_distortions(
             net, {i: float(rng.uniform(1e-5, 0.1)) for i in net.sources}
         )
-        delta = bounds.gap_report(net, profile).delta_r_bits
-        difference = bounds.outer_bound_incremental(
-            net, profile
-        ).total_bits - bounds.cutset_bound(net, profile)
+        delta = Keyed(net).gap(profile)[0]
+        difference = bounds.outer_bound_incremental(net, profile).total_bits - Keyed(
+            net
+        ).cutset(profile)
         assert delta == pytest.approx(difference, abs=1e-10)
 
     def test_asymptote_values(self):
@@ -297,15 +296,15 @@ class TestGap:
 
 class TestConsensusProfiles:
     def test_two_node_line(self):
-        net = make_consensus_line([1.0, 1.0])
-        profile = bounds.consensus_derive(net, {(1, 0): 0.3, (0, 1): 0.7})
+        net = consensus_line([1.0, 1.0])
+        profile = Keyed(net, True).derive({(1, 0): 0.3, (0, 1): 0.7})
         assert profile.per_root[0] == 0.3
         assert profile.per_root[1] == 0.7
         assert profile.total == 1.0
 
     def test_three_node_line_uniform(self):
-        net = make_consensus_line([1.0, 1.0, 1.0])
-        profile = bounds.consensus_derive(net, uniform_edge_d(net, 0.01))
+        net = consensus_line([1.0, 1.0, 1.0])
+        profile = Keyed(net, True).derive(uniform_edge_d(net, 0.01))
         assert profile.per_root == {0: pytest.approx(0.02), 1: pytest.approx(0.02), 2: pytest.approx(0.02)}
         assert profile.total == pytest.approx(0.06)
 
@@ -316,20 +315,20 @@ class TestConsensusProfiles:
             weights={0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0},
         )
         c = 0.005
-        profile = bounds.consensus_derive(net, uniform_edge_d(net, c))
+        profile = Keyed(net, True).derive(uniform_edge_d(net, c))
         for k in net.node_ids:
             assert profile.per_root[k] == pytest.approx(3 * c)
         assert profile.total == pytest.approx(12 * c)
 
     def test_missing_edge(self):
-        net = make_consensus_line([1.0, 1.0])
+        net = consensus_line([1.0, 1.0])
         with pytest.raises(InputError, match="missing"):
-            bounds.consensus_derive(net, {(1, 0): 0.3})
+            Keyed(net, True).derive({(1, 0): 0.3})
 
     def test_requires_weighted_root(self):
         net = make_line(2, [1.0, 1.0])
         with pytest.raises(InputError, match="weight on every node"):
-            bounds.consensus_derive(net, {})
+            Keyed(net, True).derive({})
 
     @given(seed=st.integers(0, 5_000), n=st.integers(2, 10))
     def test_double_counting_identity(self, seed, n):
@@ -337,7 +336,7 @@ class TestConsensusProfiles:
         net = random_tree(rng, n, mode="consensus")
         uses = reference.Tree(net).multiplicities()
         inc = {e: float(rng.uniform(1e-5, 0.5)) for e in uses}
-        profile = bounds.consensus_derive(net, inc)
+        profile = Keyed(net, True).derive(inc)
         weighted = math.fsum(uses[e] * inc[e] for e in uses)
         assert profile.total == pytest.approx(weighted, rel=1e-12)
 
@@ -347,7 +346,7 @@ class TestConsensusProfiles:
         net = random_tree(rng, n, mode="consensus")
         ref = reference.Tree(net)
         inc = {e: float(rng.uniform(1e-5, 0.5)) for e in ref.edges()}
-        profile = bounds.consensus_derive(net, inc)
+        profile = Keyed(net, True).derive(inc)
         for e in ref.edges():
             assert abs(profile.rx[e] - profile.tx[e] - profile.inc[e]) <= 1e-15 * profile.rx[e]
             below = math.fsum(inc[f] for f in ref.upstream(*e))
@@ -356,24 +355,24 @@ class TestConsensusProfiles:
 
 class TestConsensusBounds:
     def test_two_node_outer(self):
-        net = make_consensus_line([1.0, 1.0])
-        profile = bounds.consensus_derive(net, uniform_edge_d(net, 0.01))
-        outer = bounds.consensus_outer(net, profile)
-        assert outer.total_bits == pytest.approx(6.643856189774724, abs=1e-12)
+        net = consensus_line([1.0, 1.0])
+        profile = Keyed(net, True).derive(uniform_edge_d(net, 0.01))
+        outer, _ = Keyed(net, True).outer(profile)
+        assert outer == pytest.approx(6.643856189774724, abs=1e-12)
 
     def test_full_distortion_kills_log_terms(self):
-        net = make_consensus_line([1.0, 1.0])
+        net = consensus_line([1.0, 1.0])
         inc = net.links(True).keyed(net.links(True).carried)
-        profile = bounds.consensus_derive(net, inc)
+        profile = Keyed(net, True).derive(inc)
         # both edges are leaf edges: no transmit distortion, no penalty
-        assert bounds.consensus_outer(net, profile).total_bits == pytest.approx(
+        assert Keyed(net, True).outer(profile)[0] == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_exceeds_per_edge_cutset_analog(self):
-        net = make_consensus_line([1.0, 1.0, 1.0])
-        profile = bounds.consensus_derive(net, uniform_edge_d(net, 1e-5))
-        outer = bounds.consensus_outer(net, profile).total_bits
+        net = consensus_line([1.0, 1.0, 1.0])
+        profile = Keyed(net, True).derive(uniform_edge_d(net, 1e-5))
+        outer = Keyed(net, True).outer(profile)[0]
         ref = reference.Tree(net)
         cutset_analog = math.fsum(
             0.5 * math.log2(ref.variance(ref.side(*e)) / profile.rx[e]) for e in ref.edges()
@@ -381,10 +380,10 @@ class TestConsensusBounds:
         assert outer >= cutset_analog
 
     def test_two_node_inner(self):
-        net = make_consensus_line([1.0, 1.0])
-        inner = bounds.consensus_inner(net, uniform_edge_d(net, 0.01))
-        assert inner.rate_bits == pytest.approx(6.643856189774724, abs=1e-12)
-        assert inner.distortion == pytest.approx(0.02, rel=1e-12)
+        net = consensus_line([1.0, 1.0])
+        keyed, d = Keyed(net, True), uniform_edge_d(net, 0.01)
+        assert keyed.inner(d)[0] == pytest.approx(6.643856189774724, abs=1e-12)
+        assert keyed.derive(d).total == pytest.approx(0.02, rel=1e-12)
 
     def test_star_inner_matches_derive_total(self):
         net = TreeNetwork(
@@ -393,29 +392,27 @@ class TestConsensusBounds:
             weights={0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0},
         )
         d = uniform_edge_d(net, 0.01)
-        inner = bounds.consensus_inner(net, d)
-        assert inner.distortion == pytest.approx(
-            bounds.consensus_derive(net, d).total, rel=1e-12
-        )
-        ref = reference.Tree(net)
+        keyed, ref = Keyed(net, True), reference.Tree(net)
+        rate, _ = keyed.inner(d)
+        weighted = math.fsum(m * d[e] for e, m in ref.multiplicities().items())
+        assert keyed.derive(d).total == pytest.approx(weighted, rel=1e-12)
         expected_rate = math.fsum(
             0.5 * math.log2(ref.variance(ref.side(*e)) / 0.01) for e in ref.edges()
         )
-        assert inner.rate_bits == pytest.approx(expected_rate, rel=1e-12)
+        assert rate == pytest.approx(expected_rate, rel=1e-12)
 
     def test_leaf_edge_at_full_rate_contributes_zero(self):
-        net = make_consensus_line([1.0, 1.0, 1.0])
+        net = consensus_line([1.0, 1.0, 1.0])
         d = uniform_edge_d(net, 0.01)
         d[(2, 1)] = 1.0  # leaf test-channel variance equals its weight squared
-        inner = bounds.consensus_inner(net, d)
-        assert inner.per_link_rate_bits[(2, 1)] == 0.0
+        assert Keyed(net, True).inner(d)[1][(2, 1)] == 0.0
 
     def test_infeasible_edge(self):
-        net = make_consensus_line([1.0, 1.0, 1.0])
+        net = consensus_line([1.0, 1.0, 1.0])
         d = uniform_edge_d(net, 0.01)
         d[(1, 0)] = 2.5  # exceeds sigma_hat(1->0) = (1 - 0.01) + 1
         with pytest.raises(InfeasibleError, match="edge 1->0"):
-            bounds.consensus_inner(net, d)
+            Keyed(net, True).inner(d)
 
 
 class TestReports:
@@ -460,7 +457,7 @@ class TestReports:
         assert bounds.classical_consensus_comparator_bits(4, 1e-4) > 0.0
 
     def test_consensus_report_fields(self):
-        net = make_consensus_line([1.0, 1.0, 1.0])
+        net = consensus_line([1.0, 1.0, 1.0])
         inc = uniform_edge_d(net, 0.005)
         report = bounds.consensus_report(net, inc, 0.03)
         assert report.mode == "consensus"

@@ -12,9 +12,9 @@ from hypothesis import given, strategies as st
 import reference
 from gausstree import allocation, bounds, simulator
 from gausstree.errors import InfeasibleError
-from gausstree.network import LinkCascade, TreeError, TreeNetwork, make_consensus_line, make_line
+from gausstree.network import LinkCascade, TreeError, TreeNetwork, make_line
 
-from helpers import fixed_fraction_d, shaped_tree
+from helpers import Keyed, consensus_line, fixed_fraction_d, shaped_tree
 
 shapes = st.sampled_from(["line", "star", "random"])
 all_shapes = st.sampled_from(["line", "star", "caterpillar", "random"])
@@ -63,7 +63,7 @@ def test_consensus_cascade_matches_enumeration(shape, n, seed):
         assert frozenset(net.cascade.members(e)) == side
 
     inc = spread_values(rng, sides)
-    profile = bounds.consensus_derive(net, inc)
+    profile = Keyed(net, True).derive(inc)
     assert list(profile.per_root) == list(net.node_ids)
     per_root = {k: math.fsum(inc[e] for e in tree) for k, tree in trees.items()}
     assert profile.per_root == per_root  # bit for bit
@@ -80,7 +80,7 @@ def test_sums_overflow_like_fsum():
     line = make_line(3, [1.0, 1.0, 1.0]).links()
     with pytest.raises(InfeasibleError, match="overflow"):
         line.sums([1.0, 1e308, 1e308])
-    pair = make_consensus_line([1.0, 1.0, 1.0]).links(True)
+    pair = consensus_line([1.0, 1.0, 1.0]).links(True)
     with pytest.raises(InfeasibleError, match="overflow"):
         pair.sums([1e308] * len(pair.keys))
 
@@ -97,12 +97,12 @@ def test_folds_never_enumerate_members(monkeypatch):
     profile = bounds.derive_distortions(agg, {i: 1e-6 for i in agg.sources})
     assert profile.tx[1] == math.fsum([1e-6] * (n - 1))
     assert bounds.full_report(agg, 1e-3).total_distortion == 1e-3
-    cons = make_consensus_line([1.0] * n)
+    cons = consensus_line([1.0] * n)
     view = cons.links(True)
     order = [view.keys[k] for k in view.order]
     assert len(order) == 2 * (n - 1)
     assert [view.mult[k] for k in view.order[:2]] == [n - 1, n - 2]
-    profile = bounds.consensus_derive(cons, {e: 1e-6 for e in order})
+    profile = Keyed(cons, True).derive({e: 1e-6 for e in order})
     assert profile.per_root[0] == math.fsum([1e-6] * (n - 1))
     assert bounds.consensus_report(cons, profile.inc, profile.total).mode == "consensus"
 

@@ -14,22 +14,22 @@ from hypothesis import given, settings, strategies as st
 from gausstree import allocation, bounds, cli, simulator
 from gausstree.errors import ConsistencyError
 import reference
-from gausstree.network import LinkSet, make_consensus_line, make_line
+from gausstree.network import LinkSet, TreeNetwork, make_line
 
-from helpers import random_tree
+from helpers import Keyed, consensus_line, random_tree, tree_json
 
 
 @pytest.fixture
 def line3_path(tmp_path):
     path = tmp_path / "line3.json"
-    path.write_text(make_line(3, [1.0, 1.0, 1.0]).to_json())
+    path.write_text(tree_json(make_line(3, [1.0, 1.0, 1.0])))
     return str(path)
 
 
 @pytest.fixture
 def consensus3_path(tmp_path):
     path = tmp_path / "cons3.json"
-    path.write_text(make_consensus_line([1.0, 1.0, 1.0]).to_json())
+    path.write_text(tree_json(consensus_line([1.0, 1.0, 1.0])))
     return str(path)
 
 
@@ -260,20 +260,37 @@ class TestValidate:
         assert code == 0
         assert json.loads(out)["consensus"]["total_distortion"] == pytest.approx(budget, rel=1e-9)
 
-    @pytest.mark.parametrize("mode, variables", [("agg", 3 * 9_999), ("consensus", 5 * 10_000 - 4)])
+    @pytest.mark.parametrize(
+        "shape, mode, variables",
+        [
+            pytest.param("line", "agg", 3 * 9_999, id="agg-29997"),
+            pytest.param("line", "consensus", 5 * 10_000 - 4, id="consensus-49996"),
+            pytest.param("star", "consensus", 5 * 10_000 - 4, id="star-consensus-49996"),
+        ],
+    )
     def test_validate_refuses_a_tree_beyond_the_oracle_limit(
-        self, capsys, tmp_path, monkeypatch, mode, variables
+        self, capsys, tmp_path, monkeypatch, shape, mode, variables
     ):
-        # The dense oracle would need tens of GB for a 10,000-node line; it
-        # is refused with exit 2 before it builds anything.
+        # The dense oracle would need tens of GB for a 10,000-node tree; it
+        # is refused with exit 2 before any view is built, since a star's
+        # consensus links alone cost the sum of its squared degrees.
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle started on a tree beyond its limit")
 
+        parents = {i: i - 1 if shape == "line" else 0 for i in range(1, 10_000)}
+        net = TreeNetwork(root=0, parents=parents, weights=dict.fromkeys(range(10_000), 1.0))
+        path = tmp_path / f"{shape}.json"
+        path.write_text(tree_json(net))
+        built, links = [], TreeNetwork.links
+
+        def recorded(net, consensus=False):
+            built.append(consensus)
+            return links(net, consensus)
+
         monkeypatch.setattr(simulator, "_LinearGaussian", forbidden)
-        path = tmp_path / "line.json"
-        path.write_text(make_consensus_line([1.0] * 10_000).to_json())
+        monkeypatch.setattr(TreeNetwork, "links", recorded)
         code, out, err = run_capture(capsys, ["validate", "--tree", str(path), "--mode", mode])
-        assert (code, out) == (2, "")
+        assert (code, out, built) == (2, "", [])
         name = "aggregation" if mode == "agg" else "consensus"
         assert err == (
             f"error: the exact oracle would hold {variables} variables for this {name} tree "
@@ -450,7 +467,7 @@ def test_consensus_bounds_at_a_subnormal_budget_reports_a_finite_comparator(caps
     # Light weights keep every bound finite at D = 2e-310; the comparator's
     # 1 / (n**1.5 * D) would not be.
     tree = tmp_path / "tree.json"
-    tree.write_text(make_consensus_line([0.001, 0.001]).to_json())
+    tree.write_text(tree_json(consensus_line([0.001, 0.001])))
     code, out, err = run_capture(capsys, ["consensus-bounds", "--tree", str(tree), "--D", "2e-310"])
     assert (code, err) == (0, "")
     report = json.loads(out)
@@ -462,7 +479,7 @@ def test_consensus_bounds_at_a_subnormal_budget_reports_a_finite_comparator(caps
 def test_consensus_bounds_folds_the_profile_it_holds(capsys, tmp_path, monkeypatch, budget):
     net = random_tree(np.random.default_rng(11), 30, mode="consensus")
     tree = tmp_path / "tree.json"
-    tree.write_text(net.to_json())
+    tree.write_text(tree_json(net))
     if budget == ["--d-per-link"]:
         inc = {e: 1e-3 for e in reference.Tree(net).edges()}
         path = tmp_path / "links.json"
@@ -470,7 +487,7 @@ def test_consensus_bounds_folds_the_profile_it_holds(capsys, tmp_path, monkeypat
         budget, expected_calls = budget + [str(path)], 1
     else:
         inc, expected_calls = allocation.allocate_consensus(net, 0.03).profile.inc, 1
-    profile = bounds.consensus_derive(net, inc)
+    profile = Keyed(net, True).derive(inc)
     report = bounds.consensus_report(net, profile.inc, profile.total)
     expected = cli._format_json(report.to_json_dict())
 
@@ -489,7 +506,7 @@ def test_consensus_bounds_folds_the_profile_it_holds(capsys, tmp_path, monkeypat
 def test_consensus_simulate_hands_the_allocation_over_as_a_list(capsys, tmp_path, monkeypatch):
     net = random_tree(np.random.default_rng(12), 8, mode="consensus")
     tree = tmp_path / "tree.json"
-    tree.write_text(net.to_json())
+    tree.write_text(tree_json(net))
     cfg = simulator.SimulationConfig(blocklength=400, trials=3, seed=4)
     inc = allocation.allocate_consensus(net, 0.05).profile.inc
     expected = cli._format_json(simulator.simulate_consensus(net, inc, cfg).to_json_dict())
@@ -715,7 +732,7 @@ def check_cli_json(command: str, n: int, seed: int = 3) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "tree.json")
         with open(tree, "w", encoding="utf-8") as handle:
-            handle.write(net.to_json())
+            handle.write(tree_json(net))
         cli._format_json = checked
         try:
             code = cli.run([command, "--tree", tree, "--D", "1e-3", "--out", os.devnull])

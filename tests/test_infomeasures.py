@@ -1,3 +1,6 @@
+"""The scalar test-channel law and the link rate ``bounds`` gives it, and
+the Gaussian closed forms of the test reference that acceptance 08 uses."""
+
 import math
 
 import numpy as np
@@ -5,20 +8,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gausstree.errors import InputError
-from gausstree.infomeasures import (
-    GaussianSpec,
-    gaussian_entropy_bits,
-    gaussian_kl_nats,
-    verify_smoothing_inequality,
-)
+from gausstree.network import make_line
+from reference import gaussian_entropy_bits, gaussian_kl_nats, smoothing_margin
 
-# aliased so pytest does not collect the library functions as tests
+# aliased so pytest does not collect the library function as a test
 from gausstree.infomeasures import test_channel_law as channel_law
-from gausstree.infomeasures import test_channel_rate_bits as channel_rate_bits
+
+from helpers import Keyed
 
 
-def scalar(mean: float, var: float) -> GaussianSpec:
-    return GaussianSpec(np.array([mean]), np.array([[var]]))
+def scalar(mean: float, var: float) -> tuple:
+    return np.array([mean]), np.array([[var]])
+
+
+def channel_rate_bits(source_variance: float, distortion: float) -> float:
+    """The rate ``bounds`` gives a link of a test channel that carries
+    ``source_variance``: the one uplink of a node of that squared weight."""
+    keyed = Keyed(make_line(1, [math.sqrt(source_variance)]))
+    return keyed.inner({1: distortion})[0]
 
 
 class TestEntropy:
@@ -46,36 +53,33 @@ class TestEntropy:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_bad_variance(self, bad):
-        with pytest.raises(InputError):
+        with pytest.raises(ValueError):
             gaussian_entropy_bits(bad)
 
 
 class TestGaussianKl:
     def test_identical_distributions(self):
         p = scalar(0.3, 1.2)
-        assert gaussian_kl_nats(p, p) == 0.0
+        assert gaussian_kl_nats(*p, *p) == 0.0
 
     def test_unit_mean_shift(self):
-        assert gaussian_kl_nats(scalar(1.0, 1.0), scalar(0.0, 1.0)) == pytest.approx(
+        assert gaussian_kl_nats(*scalar(1.0, 1.0), *scalar(0.0, 1.0)) == pytest.approx(
             0.5, abs=1e-12
         )
 
     def test_variance_mismatch(self):
         # 0.5*(2 - 1 + ln(1/2)) = 0.5*(1 - ln 2)
-        assert gaussian_kl_nats(scalar(0.0, 2.0), scalar(0.0, 1.0)) == pytest.approx(
+        assert gaussian_kl_nats(*scalar(0.0, 2.0), *scalar(0.0, 1.0)) == pytest.approx(
             0.15342640972002736, abs=1e-12
         )
 
     def test_dimension_mismatch(self):
-        p = GaussianSpec(np.zeros(2), np.eye(2))
-        with pytest.raises(InputError, match="dimension"):
-            gaussian_kl_nats(p, scalar(0.0, 1.0))
+        with pytest.raises(ValueError, match="dimension"):
+            gaussian_kl_nats(np.zeros(2), np.eye(2), *scalar(0.0, 1.0))
 
     def test_singular_q(self):
-        p = GaussianSpec(np.zeros(2), np.eye(2))
-        q = GaussianSpec(np.zeros(2), np.ones((2, 2)))
-        with pytest.raises(InputError, match="singular"):
-            gaussian_kl_nats(p, q)
+        with pytest.raises(ValueError, match="singular"):
+            gaussian_kl_nats(np.zeros(2), np.eye(2), np.zeros(2), np.ones((2, 2)))
 
     @given(seed=st.integers(0, 5_000))
     def test_nonnegative_on_random_pairs(self, seed):
@@ -83,12 +87,12 @@ class TestGaussianKl:
         n = int(rng.integers(1, 4))
         a = rng.normal(size=(n, n))
         b = rng.normal(size=(n, n))
-        p = GaussianSpec(rng.normal(size=n), a @ a.T + 0.1 * np.eye(n))
-        q = GaussianSpec(rng.normal(size=n), b @ b.T + 0.1 * np.eye(n))
-        assert gaussian_kl_nats(p, q) >= 0.0
+        p = rng.normal(size=n), a @ a.T + 0.1 * np.eye(n)
+        q = rng.normal(size=n), b @ b.T + 0.1 * np.eye(n)
+        assert gaussian_kl_nats(*p, *q) >= 0.0
 
     def test_positive_when_different(self):
-        assert gaussian_kl_nats(scalar(0.0, 1.0), scalar(0.01, 1.0)) > 0.0
+        assert gaussian_kl_nats(*scalar(0.0, 1.0), *scalar(0.01, 1.0)) > 0.0
 
 
 class TestTestChannel:
@@ -96,7 +100,8 @@ class TestTestChannel:
         assert channel_rate_bits(4.0, 1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_full_distortion_is_free(self):
-        assert channel_rate_bits(3.7, 3.7) == 0.0
+        net = make_line(1, [math.sqrt(3.7)])
+        assert Keyed(net).inner({1: net.links().carried[0]})[0] == 0.0
 
     def test_hundredfold_ratio(self):
         assert channel_rate_bits(2.0, 0.02) == pytest.approx(
@@ -106,7 +111,7 @@ class TestTestChannel:
     @pytest.mark.parametrize("d", [0.0, -0.1, 1.5, math.nan])
     def test_distortion_out_of_range(self, d):
         with pytest.raises(InputError):
-            channel_rate_bits(1.0, d)
+            channel_law(1.0, d)
 
     @given(
         var=st.floats(0.01, 100.0),
@@ -124,13 +129,13 @@ class TestTestChannel:
         law = channel_law(2.5, 2.5)
         assert law.gain == 0.0
         assert law.conditional_variance == 0.0
-        assert law.description_variance == 0.0
+        assert law.gain**2 * law.source_variance + law.conditional_variance == 0.0
 
     def test_half_distortion_law(self):
         law = channel_law(1.0, 0.5)
         assert law.gain == pytest.approx(0.5)
         assert law.conditional_variance == pytest.approx(0.25)
-        assert law.description_variance == pytest.approx(0.5)
+        assert law.gain**2 * law.source_variance + law.conditional_variance == pytest.approx(0.5)
 
     @given(var=st.floats(0.01, 50.0), frac=st.floats(0.001, 1.0))
     def test_law_moment_identities(self, var, frac):
@@ -160,33 +165,29 @@ class TestTestChannel:
 
 class TestSmoothingInequality:
     def test_perfectly_correlated_pair(self):
-        joint = GaussianSpec(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
-        assert verify_smoothing_inequality(joint, 1.0) == pytest.approx(0.0, abs=1e-12)
+        joint = np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]])
+        assert smoothing_margin(*joint, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_independent_standard_normals(self):
-        joint = GaussianSpec(np.zeros(2), np.eye(2))
         # equal smoothed marginals make the KL side zero; E(x-y)^2/2 = 1
-        assert verify_smoothing_inequality(joint, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert smoothing_margin(np.zeros(2), np.eye(2), 1.0) == pytest.approx(1.0, abs=1e-12)
 
     @given(seed=st.integers(0, 5_000))
     def test_margin_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 3))
         a = rng.normal(size=(2 * n, 2 * n))
-        joint = GaussianSpec(rng.normal(size=2 * n), a @ a.T)
         t = float(rng.uniform(1e-3, 10.0))
-        assert verify_smoothing_inequality(joint, t) >= -1e-9
+        assert smoothing_margin(rng.normal(size=2 * n), a @ a.T, t) >= -1e-9
 
     def test_rejects_bad_t(self):
-        joint = GaussianSpec(np.zeros(2), np.eye(2))
-        with pytest.raises(InputError):
-            verify_smoothing_inequality(joint, 0.0)
+        with pytest.raises(ValueError):
+            smoothing_margin(np.zeros(2), np.eye(2), 0.0)
 
     def test_rejects_odd_dimension(self):
-        joint = GaussianSpec(np.zeros(3), np.eye(3))
-        with pytest.raises(InputError, match="even"):
-            verify_smoothing_inequality(joint, 1.0)
+        with pytest.raises(ValueError, match="even"):
+            smoothing_margin(np.zeros(3), np.eye(3), 1.0)
 
     def test_rejects_non_psd_joint(self):
-        with pytest.raises(InputError, match="positive semi-definite"):
-            GaussianSpec(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            smoothing_margin(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)

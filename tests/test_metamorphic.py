@@ -19,7 +19,7 @@ import reference
 from gausstree import allocation, bounds, simulator
 from gausstree.network import TreeNetwork
 
-from helpers import fixed_fraction_d, shaped_tree
+from helpers import Keyed, fixed_fraction_d, shaped_tree
 
 shapes = st.sampled_from(["line", "star", "caterpillar", "random"])
 sizes = st.integers(2, 300)
@@ -92,8 +92,8 @@ def check_relabelling(shape: str, n: int, seed: int, mode: str, fraction: float)
             )
         ]
         alloc = allocation.allocate_consensus
-        per_root = bounds.consensus_derive(net, inc).per_root
-        assert bounds.consensus_derive(twin, moved(inc, perm)).per_root == moved(per_root, perm)
+        per_root = Keyed(net, True).derive(inc).per_root
+        assert Keyed(twin, True).derive(moved(inc, perm)).per_root == moved(per_root, perm)
     for report, other in pairs:
         assert _bits(other) == _bits(report)
         assert other.per_link_rates_bits == moved(report.per_link_rates_bits, perm)

@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 import reference
 from gausstree import bounds
 from gausstree.errors import InputError
-from gausstree.network import TreeError, TreeNetwork, make_consensus_line, make_line, parse_tree
+from gausstree.network import TreeError, TreeNetwork, make_line, parse_tree
 
-from helpers import random_tree, shaped_tree
+from helpers import Keyed, consensus_line, random_tree, shaped_tree, tree_json
 
 LINE3_DOC = json.dumps(
     {
@@ -107,13 +107,13 @@ class TestParsing:
             TreeNetwork(root=0, parents={5: 0}, weights={5: 1.0})
 
     def test_weighted_root_round_trips(self):
-        net = make_consensus_line([1.0, 2.0, 0.5])
-        again = parse_tree(net.to_json())
+        net = consensus_line([1.0, 2.0, 0.5])
+        again = parse_tree(tree_json(net))
         assert again == net
 
     def test_aggregation_round_trips(self):
         net = make_line(4, [1.0, -2.0, 0.5, 3.0])
-        assert parse_tree(net.to_json()) == net
+        assert parse_tree(tree_json(net)) == net
 
 
 class TestConstructors:
@@ -138,7 +138,7 @@ class TestConstructors:
         with pytest.raises(TreeError, match="^node 2: weight must be nonzero$"):
             make_line(2, [1.0, 0.0])
         with pytest.raises(TreeError, match="^node 0: weight must be finite, got inf$"):
-            make_consensus_line([float("inf"), 1.0])
+            consensus_line([float("inf"), 1.0])
         with pytest.raises(TreeError, match="^weight given for unknown node 5$"):
             TreeNetwork(root=0, parents={1: 0}, weights={1: 1.0, 5: 1.0})
 
@@ -194,13 +194,13 @@ class TestDirectedTrees:
     # Each node's sum runs over exactly its directed tree, in gausstree
     # and in the reference.
     def test_line_towards_stored_root(self):
-        net = make_consensus_line([1.0, 1.0, 1.0])
+        net = consensus_line([1.0, 1.0, 1.0])
         tree = [(1, 0), (2, 1)]
         assert reference.Tree(net).directed_tree(0) == tree
         assert tree_sums(net)[0] == link_values(net, tree)
 
     def test_line_rerooted_at_far_end(self):
-        net = make_consensus_line([1.0, 1.0, 1.0])
+        net = consensus_line([1.0, 1.0, 1.0])
         tree = [(0, 1), (1, 2)]
         assert reference.Tree(net).directed_tree(2) == tree
         assert tree_sums(net)[2] == link_values(net, tree)
@@ -222,25 +222,25 @@ class TestDirectedTrees:
 
 class TestOrientedSubtrees:
     def test_line_towards_root(self):
-        net = make_consensus_line([1.0, 1.0, 1.0])
+        net = consensus_line([1.0, 1.0, 1.0])
         assert sorted(net.cascade.members((1, 0))) == [1, 2]
         assert carried(net, (1, 0), True) == 2.0
 
     def test_line_away_from_root_includes_root_weight(self):
-        net = make_consensus_line([2.0, 1.0, 1.0])
+        net = consensus_line([2.0, 1.0, 1.0])
         assert sorted(net.cascade.members((1, 2))) == [0, 1]
         assert carried(net, (1, 2), True) == 5.0
 
     def test_leaf_edge(self):
-        net = make_consensus_line([1.0, 1.0, 0.5])
+        net = consensus_line([1.0, 1.0, 0.5])
         assert net.cascade.members((2, 1)) == (2,)
         assert carried(net, (2, 1), True) == 0.25
 
     def test_non_adjacent_pair_rejected(self):
-        net = make_consensus_line([1.0, 1.0, 1.0])
+        net = consensus_line([1.0, 1.0, 1.0])
         d = {e: 0.1 for e in reference.Tree(net).edges()}
         with pytest.raises(TreeError, match="not adjacent"):
-            bounds.consensus_derive(net, {**d, (0, 2): 0.1})
+            Keyed(net, True).derive({**d, (0, 2): 0.1})
 
 
 def multiplicity(net: TreeNetwork, edge) -> int:
@@ -250,7 +250,7 @@ def multiplicity(net: TreeNetwork, edge) -> int:
 
 class TestEdgeMultiplicity:
     def test_line_end_edges(self):
-        net = make_consensus_line([1.0, 1.0, 1.0])
+        net = consensus_line([1.0, 1.0, 1.0])
         uses = reference.Tree(net).multiplicities()
         for edge, m in [((1, 0), 1), ((1, 2), 1), ((0, 1), 2)]:
             assert multiplicity(net, edge) == uses[edge] == m
@@ -318,7 +318,7 @@ def test_oriented_subtree_agrees_with_rooted_subtree(seed, n):
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 10))
 def test_json_round_trip(seed, n):
     net = random_tree(np.random.default_rng(seed), n, mode="consensus" if n > 1 else "aggregation")
-    assert parse_tree(net.to_json()) == net
+    assert parse_tree(tree_json(net)) == net
 
 
 @pytest.mark.parametrize(
@@ -339,7 +339,7 @@ def test_json_round_trip(seed, n):
 def test_read_refuses_key_faults_then_missing_links_then_values(consensus, values, err):
     # Key faults and bad values are reported in the caller's order, after
     # the earlier classes of fault whatever their place in the map.
-    net = make_consensus_line([1.0, 1.0, 1.0]) if consensus else make_line(3, [1.0, 1.0, 1.0])
+    net = consensus_line([1.0, 1.0, 1.0]) if consensus else make_line(3, [1.0, 1.0, 1.0])
     view = net.links(consensus)
     with pytest.raises(InputError) as caught:
         view.read(values, "x")

@@ -5,12 +5,10 @@ import pytest
 
 from gausstree import allocation, bounds
 from gausstree.errors import ConsistencyError, InfeasibleError, InputError
-from gausstree.infomeasures import test_channel_rate_bits as channel_rate_bits
-from gausstree.network import TreeNetwork, make_consensus_line, make_line
+from gausstree.network import TreeNetwork, make_line
 from gausstree.simulator import (
     SimulationConfig,
     analytic_mmse_check,
-    matched_test_channel_distortions,
     simulate_aggregation,
     simulate_consensus,
     simulate_dithered_baseline,
@@ -19,6 +17,8 @@ from gausstree.simulator import (
 
 import reference
 from helpers import (
+    Keyed,
+    consensus_line,
     equal_split,
     fixed_fraction_d,
     random_feasible_consensus_d,
@@ -137,7 +137,7 @@ class TestAnalyticAggregation:
 
 class TestAnalyticConsensus:
     def test_two_node_line(self):
-        net = make_consensus_line([1.0, 1.0])
+        net = consensus_line([1.0, 1.0])
         model = analytic_mmse_check(
             net, {(0, 1): 0.02, (1, 0): 0.03}, mode="consensus"
         )
@@ -263,22 +263,20 @@ class TestSimulateAggregation:
         for _ in range(20):
             net = random_tree(rng, int(rng.integers(1, 11)))
             d = random_feasible_d(rng, net)
-            sigma_hat = bounds.test_channel_variances(net, d)
-            achieved = math.fsum(
-                channel_rate_bits(sigma_hat[i], d[i]) for i in net.sources
-            )
-            assert achieved <= bounds.inner_bound(net, d).rate_bits + 1e-12
+            sigma_hat = Keyed(net).sigma_hat(d)
+            achieved = math.fsum(0.5 * math.log2(sigma_hat[i] / d[i]) for i in net.sources)
+            assert achieved <= Keyed(net).inner(d)[0] + 1e-12
 
 
 class TestSimulateConsensus:
     def test_two_node_line(self):
-        net = make_consensus_line([1.0, 1.0])
+        net = consensus_line([1.0, 1.0])
         result = simulate_consensus(net, uniform_edge_d(net, 0.01), quiet_cfg())
         for k in net.node_ids:
             assert abs(result.empirical_total[k] - 0.01) <= result.ci_halfwidth["per_node"][k]
 
     def test_three_node_line_per_node_doubles(self):
-        net = make_consensus_line([1.0, 1.0, 1.0])
+        net = consensus_line([1.0, 1.0, 1.0])
         d = uniform_edge_d(net, 0.01)
         result = simulate_consensus(net, d, quiet_cfg(blocklength=4000, trials=50))
         for k in net.node_ids:
@@ -286,20 +284,20 @@ class TestSimulateConsensus:
             assert abs(result.empirical_total[k] - 0.02) <= result.ci_halfwidth["per_node"][k]
 
     def test_lossless_limit(self):
-        net = make_consensus_line([1.0, 1.0])
+        net = consensus_line([1.0, 1.0])
         result = simulate_consensus(net, uniform_edge_d(net, 1e-12), quiet_cfg())
         for k in net.node_ids:
             assert result.empirical_total[k] <= 1e-10
 
     def test_a_list_in_link_order_runs_what_its_map_runs(self):
-        net = make_consensus_line([1.0, 0.5, 2.0])
+        net = consensus_line([1.0, 0.5, 2.0])
         view, d = net.links(True), uniform_edge_d(net, 0.01)
         listed = simulate_test_channel(net, view, view.listed(d), quiet_cfg())
         assert listed.to_json_dict() == simulate_consensus(net, d, quiet_cfg()).to_json_dict()
 
     @pytest.mark.parametrize("values", [[0.01] * 3, [0.01, 0.01, 0.0, 0.01]])
     def test_a_list_is_checked_for_length_and_sign(self, values):
-        net = make_consensus_line([1.0, 0.5, 2.0])
+        net = consensus_line([1.0, 0.5, 2.0])
         with pytest.raises(InputError, match="distortion parameters"):
             simulate_test_channel(net, net.links(True), values, quiet_cfg())
 
@@ -332,7 +330,9 @@ class TestDitheredBaseline:
         result = simulate_dithered_baseline(
             net, rates, quiet_cfg(blocklength=20_000, trials=40)
         )
-        matched = matched_test_channel_distortions(net, rates.per_link_rate_bits)
+        matched = reference.matched_test_channel_distortions(
+            reference.Tree(net), rates.per_link_rate_bits
+        )
         for i in net.sources:
             assert result.per_link_incremental[i] >= matched[i]
 
@@ -382,11 +382,11 @@ class TestDitheredBaseline:
         ids=["missing", "negative", "nan", "infinite"],
     )
     def test_matched_distortions_refuse_bad_rates(self, rates, err):
-        with pytest.raises(InputError, match=f"^{err}$"):
-            matched_test_channel_distortions(make_line(2, [1.0, 1.0]), rates)
+        with pytest.raises(ValueError, match=f"^{err}$"):
+            reference.matched_test_channel_distortions(reference.Tree(make_line(2, [1.0, 1.0])), rates)
 
     def test_rejects_consensus_allocations(self):
-        net = make_consensus_line([1.0, 1.0])
+        net = consensus_line([1.0, 1.0])
         rates = allocation.allocate_consensus(net, 0.01, cross_validate=False)
         with pytest.raises(InputError, match="aggregation"):
             simulate_dithered_baseline(net, rates, quiet_cfg())
@@ -402,7 +402,7 @@ class TestResultSerialization:
         assert rows[-1][4] == pytest.approx(0.02, rel=1e-12)
 
     def test_consensus_json_structure(self):
-        net = make_consensus_line([1.0, 1.0])
+        net = consensus_line([1.0, 1.0])
         result = simulate_consensus(net, uniform_edge_d(net, 0.01), quiet_cfg())
         payload = result.to_json_dict()
         assert set(payload["empirical_total"]) == {"0", "1"}
