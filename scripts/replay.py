@@ -208,6 +208,13 @@ def corpus(files: dict[str, object]) -> list[list[str]]:
         add("gap-sweep", "--line-n", line_n, "--D", "1e-2")
     files["error-nan-literal.json"] = {"root": 0, "nodes": [node(1, math.nan, parent=0)]}
     add("bounds", "--tree", "error-nan-literal.json", "--D", "0.1")
+    # Appended in turn: the per-link inputs of the test-channel simulation,
+    # of validate without --mode and of consensus-bounds without either flag.
+    add("simulate", "--tree", "agg-random-8.json", "--d-per-link", "agg-random-8.feasible.json",
+        *sim)
+    add("simulate", "--tree", "cons-random-8.json", "--mode", "consensus", "--D", "0.1", *sim)
+    add("validate", "--tree", "cons-random-8.json", "--D", "0.1")
+    add("consensus-bounds", "--tree", "cons-random-8.json")
     return cases
 
 

@@ -31,6 +31,7 @@ ALLOWED = {
     "cli._leaf": "the JSON writer's guard for scalar subclasses and for values it cannot "
     "serialize; no CLI payload holds one, but test_cli's hypothesis properties do",
     "bounds.consensus_report": "the keyed consensus report, timed by perfbench/ladder.py",
+    "simulator.simulate_aggregation": "the keyed aggregation run, timed by perfbench/ladder.py",
     "__init__.__dir__": "dir() of the package, which lists its lazy exports (PEP 562); "
     "tests/test_imports.py reads it, no CLI path does",
 }

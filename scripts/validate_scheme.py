@@ -24,12 +24,11 @@ from gausstree.simulator import (
     SimulationConfig,
     analytic_mmse_check,
     simulate_aggregation,
-    simulate_consensus,
     simulate_dithered_baseline,
 )
 
 sys.path.insert(0, "tests")
-from helpers import equal_split, random_tree, uniform_edge_d  # noqa: E402
+from helpers import equal_split, random_tree, simulate_consensus  # noqa: E402
 
 
 def aggregation_run(args) -> None:

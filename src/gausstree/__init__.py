@@ -45,7 +45,6 @@ _EXPORTS = {
         "SimulationResult",
         "analytic_mmse_check",
         "simulate_aggregation",
-        "simulate_consensus",
         "simulate_dithered_baseline",
     ),
 }

@@ -175,12 +175,21 @@ def allocate_numeric_penalized(
     return _allocation("numeric-penalized", net.links(), inc.tolist(), warnings)
 
 
-def _allocation(method: str, view: LinkSet, inc: list, warnings: tuple = ()) -> RateAllocation:
-    # Every allocator's tail: the profile of ``inc`` and each link's rate.
-    # A budget whose split underflows to 0 is refused as an input.
+def _checked(view: LinkSet, inc: list) -> tuple[tuple, list]:
+    # Every allocation's checks, in one order: ``inc`` is positive (a budget
+    # whose split underflows to 0 is refused as an input), then its fold
+    # ``(tx, rx, per_sink, total)`` and each link's rate.
     view.positive(inc, "incremental distortions")
-    profile = bounds._derive(view, inc)
-    rates = bounds._link_rates(view, inc)
+    return bounds._accumulate(view, inc), bounds._link_rates(view, inc)
+
+
+def _allocation(
+    method: str, view: LinkSet, inc: list, warnings: tuple = (), checked: tuple | None = None
+) -> RateAllocation:
+    # Every allocator's tail: ``inc`` keyed with its profile and rates, from
+    # its ``_checked`` pair when the caller holds it.
+    fold, rates = checked or _checked(view, inc)
+    profile = bounds._derive(view, inc, fold)
     return RateAllocation(method, view.keyed(rates), profile, fsum(rates), warnings)
 
 
@@ -204,22 +213,31 @@ def allocate_consensus(
     is certified optimal by the KKT conditions of the convex program
     (:func:`_certify`, O(n)); ``cross_validate=False`` skips the check.
     """
+    view, inc, checked = _consensus_inc(net, total_distortion, cross_validate)
+    return _allocation("consensus-kkt", view, inc, checked=checked)
+
+
+def _consensus_inc(net: TreeNetwork, total_distortion: float, cross_validate: bool = True):
+    """``(view, inc, checked)``: the consensus links, the closed form of
+    :func:`allocate_consensus` listed in link order and its :func:`_checked`
+    pair, certified unless ``cross_validate`` is off; nothing is keyed."""
     total_distortion, view = _consensus_setup(net, total_distortion)
     # E * m is an exact integer, so each inc_e is one rounding of D / (E m).
     n_links = len(view.mult)
     inc = [total_distortion / (n_links * m) for m in view.mult]
-    result = _allocation("consensus-kkt", view, inc)
-    return _certify(net, result, total_distortion) if cross_validate else result
+    checked = _checked(view, inc)
+    if cross_validate:
+        _certify([m * d for m, d in zip(view.mult, inc)], total_distortion, "consensus-kkt")
+    return view, inc, checked
 
 
-def _certify(net: TreeNetwork, result: RateAllocation, total_distortion: float) -> RateAllocation:
-    """``result``, once it meets the KKT conditions (:func:`_kkt_violation`)."""
-    total_distortion, view = _consensus_setup(net, total_distortion)
-    level = [m * d for m, d in zip(view.mult, view.listed(result.profile.inc))]
+def _certify(level: list, total_distortion: float, method: str) -> None:
+    """Refuse ``method``'s consensus allocation unless its ``level = m * inc``
+    meets the KKT conditions (:func:`_kkt_violation`).  They read only the
+    least, the greatest and the exact sum of ``level``, so its order is free."""
     violation = _kkt_violation(level, fsum(level), total_distortion)
     if violation is not None:
-        raise ConsistencyError(f"{result.method} allocation {violation}")
-    return result
+        raise ConsistencyError(f"{method} allocation {violation}")
 
 
 def _kkt_violation(level: list[float], total: float, budget: float) -> str | None:

@@ -125,9 +125,10 @@ def _accumulate(view: LinkSet, inc: list) -> tuple[list, list, list, float]:
     return tx, [t + d for t, d in zip(tx, inc)], per_sink, total
 
 
-def _derive(view: LinkSet, inc: list) -> DistortionProfile | ConsensusProfile:
-    # The keyed profile of checked distortions, in either mode.
-    tx, rx, per_sink, total = _accumulate(view, inc)
+def _derive(view: LinkSet, inc: list, fold=None) -> DistortionProfile | ConsensusProfile:
+    # The keyed profile of checked distortions, in either mode, from their
+    # ``_accumulate`` fold when the caller holds it.
+    tx, rx, per_sink, total = fold or _accumulate(view, inc)
     inc, tx, rx = view.keyed(inc), view.keyed(tx), view.keyed(rx)
     if view.mode == "consensus":
         per_root = dict(zip(view.sinks, per_sink))

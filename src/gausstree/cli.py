@@ -6,6 +6,9 @@ Subcommands: ``bounds``, ``allocate``, ``simulate``, ``gap-sweep``,
 CSV (6 significant digits), written to stdout or ``--out``.  Identical
 argv plus seed produce byte-identical JSON.
 
+Every handler that takes per-link distortions but ``bounds``, ``allocate``
+and the dithered baseline gets them from one resolver, :func:`_per_link`.
+
 Exit codes: 0 success, 2 input error, 3 infeasible parameters,
 4 internal-consistency failure.
 
@@ -24,11 +27,11 @@ import io
 import json
 import operator
 import sys
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import allocation, bounds
 from .errors import ConsistencyError, InfeasibleError, InputError
-from .network import MAX_NODES, LinkSet, TreeNetwork, make_line, parse_tree
+from .network import MAX_NODES, TreeNetwork, make_line, parse_tree
 
 __all__ = ["build_parser", "gap_sweep", "main", "run"]
 
@@ -209,11 +212,12 @@ def _load_json(path: str, object_pairs_hook):
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _number_map(path: str, what: str, parse_key) -> dict:
-    # A JSON object of numbers keyed by links: ``parse_key`` turns a key
-    # into its link, or raises ValueError (an InputError names its own
+def _read_map(path: str, mode: str) -> dict:
+    # A JSON object of numbers keyed by ``mode``'s links: its key reader turns
+    # a key into its link, or raises ValueError (an InputError names its own
     # fault).  Values are as strict as tree weights, and two keys that name
     # one link are refused, a key written twice included.
+    what, parse_key = _MAP_KEYS[mode]
     entries: list = []
 
     def keep(pairs: list) -> dict:
@@ -249,10 +253,6 @@ def _node_id(text: str) -> int:
     return int(text)
 
 
-def _link_map(path: str) -> dict[int, float]:
-    return _number_map(path, "node ids", _node_id)
-
-
 def _edge_key(key: str) -> tuple[int, int]:
     parts = key.split("->")
     if len(parts) != 2:
@@ -260,8 +260,14 @@ def _edge_key(key: str) -> tuple[int, int]:
     return _node_id(parts[0]), _node_id(parts[1])
 
 
-def _edge_map(path: str) -> dict[tuple[int, int], float]:
-    return _number_map(path, '"i->j"', _edge_key)
+#: Per mode: what the keys of a --d-per-link map name, and how a key is read.
+_MAP_KEYS = {"aggregation": ("node ids", _node_id), "consensus": ('"i->j"', _edge_key)}
+
+#: The mode each value of --mode names.
+_MODES = {"agg": "aggregation", "consensus": "consensus"}
+
+#: ``validate``'s default: each link describes this share of its test-channel variance.
+_DEFAULT_FRACTION = 0.1
 
 
 def _budget(args) -> float:
@@ -271,20 +277,40 @@ def _budget(args) -> float:
     return allocation._check_budget(args.D)
 
 
-def _aggregation_d(args, net: TreeNetwork) -> dict:
-    """Per-link distortions from --d-per-link, else the equal split of --D."""
+def _per_link(args, net: TreeNetwork, mode: str, what: str, check=None, default=False):
+    """``(view, d, fold)``: ``mode``'s links, their distortions in link order
+    and the fold ``(tx, rx, per_sink, total)`` that checked the consensus
+    closed form (else None).  ``d`` is a --d-per-link map (``what`` names its
+    values), else --D split equally or in closed form, else, with ``default``,
+    ``_DEFAULT_FRACTION`` of each link's test-channel variance.  Checked in
+    one order: the map's file or the budget, the tree (and ``check(net,
+    mode)``) before a view is built, then the values."""
+    consensus = mode == "consensus"
+    values = budget = None
     if args.d_per_link:
-        return _link_map(args.d_per_link)
-    budget = _budget(args)
-    return {i: budget / len(net.sources) for i in net.sources}
+        values = _read_map(args.d_per_link, mode)
+    elif args.D is not None or not default:
+        budget = _budget(args)
+    if consensus:
+        bounds._require_consensus(net)
+    if check:
+        check(net, mode)
+    if budget is not None and consensus:
+        view, inc, (fold, _) = allocation._consensus_inc(net, budget)
+        return view, inc, fold
+    view = net.links(consensus)
+    if values is not None:
+        return view, view.read(values, what), None
+    if budget is not None:
+        return view, view.split(budget), None
+    d = [0.0] * len(view.keys)
 
+    def describe(k: int, var: float) -> float:
+        d[k] = _DEFAULT_FRACTION * var
+        return var - d[k]
 
-def _consensus_d(args, net: TreeNetwork) -> dict:
-    """Per-edge distortions from --d-per-link, else the consensus
-    allocation of --D."""
-    if args.d_per_link:
-        return _edge_map(args.d_per_link)
-    return allocation.allocate_consensus(net, _budget(args)).profile.inc
+    view.variances(describe)
+    return view, d, None
 
 
 def _line_too_long(n: int) -> InputError:
@@ -352,7 +378,7 @@ def gap_sweep(n_values: Iterable[int], d_values: Iterable[float]) -> list[dict]:
 def _cmd_bounds(args) -> int:
     net = _load_tree(args.tree)
     if args.d_per_link:
-        report = bounds.full_report(net, inc=_link_map(args.d_per_link))
+        report = bounds.full_report(net, inc=_read_map(args.d_per_link, "aggregation"))
     else:
         if args.D is None:
             raise InputError("either --D or --d-per-link is required")
@@ -363,15 +389,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_consensus_bounds(args) -> int:
     net = _load_tree(args.tree)
-    if args.d_per_link or args.D is None:
-        edges = _consensus_d(args, net)
-        view = bounds._consensus_view(net)
-        inc = view.read(edges, "incremental distortions")
-        tx, _, _, total = bounds._accumulate(view, inc)
-    else:
-        profile = allocation.allocate_consensus(net, args.D).profile
-        view, total = net.links(True), profile.total
-        inc, tx = view.listed(profile.inc), view.listed(profile.tx)
+    view, inc, fold = _per_link(args, net, "consensus", "incremental distortions")
+    tx, _, _, total = fold or bounds._accumulate(view, inc)
     report = bounds._consensus_report(net, inc, tx, total)
     _emit(args, report.to_json_dict, report.to_csv_rows)
     return 0
@@ -394,7 +413,11 @@ def _cmd_consensus_allocate(args) -> int:
     if args.D is None:
         raise InputError("--D is required")
     kkt = allocation.allocate_consensus(net, args.D)
-    numeric = allocation._certify(net, allocation.allocate_consensus_numeric(net, args.D), args.D)
+    numeric = allocation.allocate_consensus_numeric(net, args.D)
+    view = net.links(True)
+    mult = view.keyed(view.mult)  # the certificate takes m * inc in any order
+    level = [mult[edge] * d for edge, d in numeric.profile.inc.items()]
+    allocation._certify(level, args.D, numeric.method)
 
     def payload() -> dict:
         # The uniform per-edge split is shown alongside the solution of the
@@ -410,31 +433,23 @@ def _cmd_consensus_allocate(args) -> int:
     return 0
 
 
-def _cmd_simulate(args, force_mode: str | None = None) -> int:
+def _cmd_simulate(args) -> int:
     from . import simulator
 
     net = _load_tree(args.tree)
-    consensus = (force_mode or args.mode) == "consensus"
     cfg = simulator.SimulationConfig(blocklength=args.N, trials=args.trials, seed=args.seed)
-    if consensus:
-        if args.scheme != "testchannel":
-            raise InputError("the dithered baseline is aggregation-only")
+    if args.scheme == "testchannel":
+        view, d, _ = _per_link(args, net, _MODES[args.mode], "distortion parameters")
+        result = simulator.simulate_test_channel(net, view, d, cfg)
+    elif args.mode == "consensus":
+        raise InputError("the dithered baseline is aggregation-only")
+    else:
         if args.d_per_link:
-            result = simulator.simulate_consensus(net, _edge_map(args.d_per_link), cfg)
-        else:
-            # The certified allocation, listed in link order: no map to read.
-            profile = allocation.allocate_consensus(net, _budget(args)).profile
-            view = net.links(True)
-            result = simulator.simulate_test_channel(net, view, view.listed(profile.inc), cfg)
-    elif args.scheme == "dither":
-        if args.d_per_link:
-            profile = bounds.derive_distortions(net, _link_map(args.d_per_link))
+            profile = bounds.derive_distortions(net, _read_map(args.d_per_link, "aggregation"))
             rates = allocation.rates_for_profile(net, profile)
         else:
             rates = allocation.allocate_equal_incremental(net, _budget(args))
         result = simulator.simulate_dithered_baseline(net, rates, cfg)
-    else:
-        result = simulator.simulate_aggregation(net, _aggregation_d(args, net), cfg)
     _emit(args, result.to_json_dict, result.to_csv_rows)
     return 0
 
@@ -446,45 +461,25 @@ def _cmd_gap_sweep(args) -> int:
     return 0
 
 
-def _default_d(view: LinkSet, fraction: float = 0.1) -> dict:
-    """Every link describes ``fraction`` of its test-channel variance."""
-    d = [0.0] * len(view.keys)
-
-    def describe(k: int, var: float) -> float:
-        d[k] = fraction * var
-        return var - d[k]
-
-    view.variances(describe)
-    return view.keyed(d)
-
-
-_MODE_D = {"aggregation": _aggregation_d, "consensus": _consensus_d}
-
-
 def _cmd_validate(args) -> int:
     from . import simulator
 
     net = _load_tree(args.tree)
-    if args.mode == "agg":
-        modes = ["aggregation"]
-    elif args.mode == "consensus":
-        modes = ["consensus"]
+    if args.mode:
+        modes = [_MODES[args.mode]]
+    elif net.fully_weighted:
+        if args.d_per_link:  # its keys name the links of one mode
+            raise InputError("--d-per-link needs --mode agg or --mode consensus on a tree "
+                             "that serves both modes")
+        modes = ["aggregation", "consensus"]
     else:
-        modes = ["aggregation"] + (["consensus"] if net.fully_weighted else [])
-    if args.D is not None and not args.d_per_link:
-        _budget(args)  # a bad budget is refused before any check of the tree
+        modes = ["aggregation"]
     summary: dict[str, object] = {}
     for mode in modes:
-        if args.d_per_link:  # a map is read before the oracle checks the tree
-            d = _MODE_D[mode](args, net)
-        else:
-            # Counted from n, before the allocation or the default d builds a view.
-            simulator._check_oracle_size(net, mode)
-            if args.D is not None:
-                d = _MODE_D[mode](args, net)
-            else:
-                d = _default_d(net.links(mode == "consensus"))
-        model = simulator.analytic_mmse_check(net, d, mode=mode)
+        view, d, _ = _per_link(args, net, mode, "distortion parameters",
+                               simulator._check_oracle_size, default=True)
+        # The oracle reads a map: the one keyed hand-off of a CLI path.
+        model = simulator.analytic_mmse_check(net, view.keyed(d), mode=mode)
         summary[mode] = {
             "links_checked": len(model.inc),
             "total_distortion": model.total,
@@ -540,16 +535,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=float, default=None)
     p.set_defaults(handler=_cmd_consensus_allocate)
 
-    for name, force in (("simulate", None), ("consensus-simulate", "consensus")):
+    for name in ("simulate", "consensus-simulate"):
         p = sub.add_parser(name, help=f"Monte-Carlo {name.replace('-', ' ')}")
         add_common(p)
         add_distortion(p)
-        p.add_argument("--mode", choices=("agg", "consensus"), default="agg")
+        if name == "simulate":
+            p.add_argument("--mode", choices=("agg", "consensus"), default="agg")
+        else:
+            p.set_defaults(mode="consensus")
         p.add_argument("--scheme", choices=("testchannel", "dither"), default="testchannel")
         p.add_argument("--N", type=int, default=1000, help="blocklength")
         p.add_argument("--trials", type=int, default=100)
         p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(handler=lambda a, f=force: _cmd_simulate(a, force_mode=f))
+        p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("gap-sweep", help="line-network gap table")
     add_common(p, tree=False)

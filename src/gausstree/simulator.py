@@ -61,7 +61,6 @@ __all__ = [
     "SimulationResult",
     "analytic_mmse_check",
     "simulate_aggregation",
-    "simulate_consensus",
     "simulate_dithered_baseline",
     "simulate_test_channel",
 ]
@@ -548,42 +547,25 @@ def _test_channel(cfg: SimulationConfig, laws: list, entity: Sequence[int]):
 def simulate_aggregation(
     net: TreeNetwork, d: Mapping[int, float], cfg: SimulationConfig
 ) -> SimulationResult:
-    """Monte-Carlo run of the test-channel aggregation scheme.
-
-    Each non-root node forms its estimate as the sum of its children's
-    descriptions plus its own weighted data, then draws its description
-    from the exact conditional law; the sink sums the descriptions it
-    receives.  Per-link incremental distortions, per-link estimate
-    variances and the end-to-end distortion are averaged over trials.
-    """
+    """:func:`simulate_test_channel` on the aggregation links, with ``d``
+    keyed by source node."""
     view = net.links()
-    return simulate_test_channel(net, view, view.read(d, "distortion parameters"), cfg)
-
-
-def simulate_consensus(
-    net: TreeNetwork, d: Mapping, cfg: SimulationConfig
-) -> SimulationResult:
-    """Monte-Carlo run of the test-channel consensus scheme.
-
-    One description flows per directed edge; every node's final estimate
-    sums the descriptions it received from all neighbours plus its own
-    weighted data.  Per-node distortions are reported against the sums of
-    the distortion parameters along each node's directed tree.
-    """
-    view = bounds._consensus_view(net)
     return simulate_test_channel(net, view, view.read(d, "distortion parameters"), cfg)
 
 
 def simulate_test_channel(
     net: TreeNetwork, view: LinkSet, d: Sequence[float], cfg: SimulationConfig
 ) -> SimulationResult:
-    """:func:`simulate_aggregation` or :func:`simulate_consensus` on the
-    links of ``view`` (``net.links()`` or ``net.links(True)``), with the
-    distortion parameters listed in its link order, as an allocation's
-    profile lists them: no map is read.
+    """Monte-Carlo run of the test-channel scheme on the links of ``view``
+    (``net.links()`` or ``net.links(True)``), with the distortion parameters
+    listed in its link order.
 
-    A link's noise stream is keyed by its source node in aggregation and by
-    its rank among the directed edges in consensus.
+    Each link's estimate is the descriptions fed into it plus its source's
+    weighted data, and its description is drawn from the exact conditional
+    law; every sink sums what it receives and its own weighted data.
+    Consensus reports each node's distortion against the parameter sum over
+    its directed tree.  A link's noise stream is keyed by its source node in
+    aggregation and by its rank among the directed edges in consensus.
     """
     if len(d) != len(view.keys):
         raise InputError(

@@ -1,5 +1,6 @@
 """Shared test fixtures: random networks, random feasible distortions, tree
-documents, and keyed access to the per-link formulas of ``bounds``."""
+documents, keyed access to the per-link formulas of ``bounds``, and keyed
+entry points to the list functions of ``simulator`` and ``allocation``."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import math
 import numpy as np
 
 import reference
-from gausstree import bounds
+from gausstree import allocation, bounds
 from gausstree.network import TreeNetwork
 
 
@@ -55,6 +56,25 @@ class Keyed:
         """The test-channel variances at ``d``."""
         d = self.view.read(d, "distortion parameters")
         return self.view.keyed(bounds._test_channel_variances(self.view, d))
+
+
+def simulate_consensus(net: TreeNetwork, d: dict, cfg):
+    """The test-channel consensus run at ``{(src, dst): d}``: the map read
+    into link order, as ``consensus-simulate --d-per-link`` reads it."""
+    from gausstree import simulator
+
+    view = bounds._consensus_view(net)
+    return simulator.simulate_test_channel(net, view, view.read(d, "distortion parameters"), cfg)
+
+
+def certify(net: TreeNetwork, result, total: float) -> None:
+    """The KKT certificate of a consensus allocation ``result`` at budget
+    ``total``, as ``consensus-allocate`` checks its numeric solve; raises
+    ConsistencyError if it fails."""
+    view = net.links(True)
+    mult = view.keyed(view.mult)
+    level = [mult[edge] * d for edge, d in result.profile.inc.items()]
+    allocation._certify(level, total, result.method)
 
 
 def consensus_line(weights) -> TreeNetwork:

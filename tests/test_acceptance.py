@@ -18,10 +18,11 @@ from gausstree.network import TreeNetwork, make_line
 from gausstree.simulator import (
     SimulationConfig,
     analytic_mmse_check,
-    simulate_consensus,
 )
 
-from helpers import Keyed, equal_split, random_feasible_d, random_tree, tree_json
+from helpers import (
+    Keyed, equal_split, random_feasible_d, random_tree, simulate_consensus, tree_json,
+)
 
 
 class _Timer:

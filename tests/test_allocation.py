@@ -9,7 +9,7 @@ from gausstree import allocation, bounds
 from gausstree.errors import ConsistencyError, InfeasibleError, InputError
 from gausstree.network import TreeNetwork, make_line
 
-from helpers import Keyed, consensus_line, equal_split, random_tree, shaped_tree
+from helpers import Keyed, certify, consensus_line, equal_split, random_tree, shaped_tree
 
 
 class TestEqualSplit:
@@ -144,16 +144,18 @@ class TestConsensusAllocation:
         assert result.method == "consensus-kkt"
 
     def test_certificate_refuses_one_edge_off_by_1e_9(self, monkeypatch):
-        tail = allocation._allocation
+        checked = allocation._checked
 
-        def perturbed(method, view, inc, warnings=()):
-            return tail(method, view, [inc[0] * (1 + 1e-9), *inc[1:]], warnings)
+        def perturbed(view, inc):
+            inc[0] *= 1 + 1e-9  # one edge off, in the list the certificate reads
+            return checked(view, inc)
 
         net = random_tree(np.random.default_rng(5), 12, mode="consensus")
-        monkeypatch.setattr(allocation, "_allocation", perturbed)
+        monkeypatch.setattr(allocation, "_checked", perturbed)
         allocation.allocate_consensus(net, 0.01, cross_validate=False)
-        with pytest.raises(ConsistencyError, match="consensus-kkt allocation is not stationary"):
-            allocation.allocate_consensus(net, 0.01)
+        for certified in (allocation.allocate_consensus, allocation._consensus_inc):
+            with pytest.raises(ConsistencyError, match="consensus-kkt allocation is not stationary"):
+                certified(net, 0.01)
 
     @given(
         shape=st.sampled_from(["line", "star", "random"]),
@@ -168,7 +170,7 @@ class TestConsensusAllocation:
         allocation.allocate_consensus(net, d_total)  # certifies, or raises
         numeric = allocation.allocate_consensus_numeric(net, d_total)
         assert numeric.warnings == ()
-        assert allocation._certify(net, numeric, d_total) is numeric
+        certify(net, numeric, d_total)  # raises unless the certificate holds
 
     def test_newton_warns_when_it_stops_at_its_step_cap(self, monkeypatch):
         net = consensus_star(5)
@@ -178,7 +180,7 @@ class TestConsensusAllocation:
             "stopped after 2 Newton steps before the KKT certificate held",
         )
         with pytest.raises(ConsistencyError, match="consensus-numeric allocation"):
-            allocation._certify(net, numeric, 0.01)
+            certify(net, numeric, 0.01)
 
     def test_subnormal_closed_form_is_certified(self):
         net = random_tree(np.random.default_rng(8), 30, mode="consensus")

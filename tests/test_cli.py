@@ -16,7 +16,7 @@ from gausstree.errors import ConsistencyError
 import reference
 from gausstree.network import LinkSet, TreeNetwork, make_line
 
-from helpers import Keyed, consensus_line, random_tree, tree_json
+from helpers import Keyed, consensus_line, random_tree, simulate_consensus, tree_json
 
 
 @pytest.fixture
@@ -509,7 +509,7 @@ def test_consensus_simulate_hands_the_allocation_over_as_a_list(capsys, tmp_path
     tree.write_text(tree_json(net))
     cfg = simulator.SimulationConfig(blocklength=400, trials=3, seed=4)
     inc = allocation.allocate_consensus(net, 0.05).profile.inc
-    expected = cli._format_json(simulator.simulate_consensus(net, inc, cfg).to_json_dict())
+    expected = cli._format_json(simulate_consensus(net, inc, cfg).to_json_dict())
 
     reads = []
     read = LinkSet.read
@@ -523,6 +523,96 @@ def test_consensus_simulate_hands_the_allocation_over_as_a_list(capsys, tmp_path
             "--trials", "3", "--seed", "4"]
     code, out, _ = run_capture(capsys, argv)
     assert (code, out, reads) == (0, expected, [])
+
+
+SIM = ["--N", "200", "--trials", "5", "--seed", "2"]
+AGG_MAP = {"1": 0.01, "2": 0.01}
+EDGE_MAP = {"0->1": 0.01, "1->0": 0.01, "1->2": 0.01, "2->1": 0.01}
+
+
+@pytest.mark.parametrize(
+    "argv, consensus, reads, lists",
+    [
+        (["bounds", "--D", "0.1"], False, 0, 0),
+        (["bounds", "--d-per-link", "{map}"], False, 1, 0),
+        (["consensus-bounds", "--D", "0.1"], True, 0, 0),
+        (["consensus-bounds", "--d-per-link", "{map}"], True, 1, 0),
+        (["simulate", "--D", "0.1", *SIM], False, 0, 0),
+        (["simulate", "--d-per-link", "{map}", *SIM], False, 1, 0),
+        (["simulate", "--mode", "consensus", "--D", "0.1", *SIM], True, 0, 0),
+        (["simulate", "--mode", "consensus", "--d-per-link", "{map}", *SIM], True, 1, 0),
+        (["consensus-simulate", "--D", "0.1", *SIM], True, 0, 0),
+        (["consensus-simulate", "--d-per-link", "{map}", *SIM], True, 1, 0),
+        # The dithered baseline keeps its keyed entry points, which list
+        # the rates (and a profile's distortions) they are handed.
+        (["simulate", "--scheme", "dither", "--D", "0.1", *SIM], False, 0, 1),
+        (["simulate", "--scheme", "dither", "--d-per-link", "{map}", *SIM], False, 1, 2),
+        # validate's oracle reads the map it is handed: one read per mode.
+        (["validate", "--mode", "agg", "--D", "0.1"], False, 1, 0),
+        (["validate", "--mode", "agg", "--d-per-link", "{map}"], False, 2, 0),
+        (["validate", "--mode", "agg"], False, 1, 0),
+        (["validate", "--mode", "consensus", "--D", "0.1"], True, 1, 0),
+        (["validate", "--mode", "consensus", "--d-per-link", "{map}"], True, 2, 0),
+        (["validate", "--mode", "consensus"], True, 1, 0),
+        (["validate", "--D", "0.1"], True, 2, 0),
+        (["validate"], True, 2, 0),
+        (["validate", "--d-per-link", "{map}"], False, 2, 0),
+    ],
+    ids=lambda value: "-".join(a.strip("-{}") for a in value if a not in SIM)
+    if isinstance(value, list) else None,
+)
+def test_per_link_input_is_read_once_and_never_listed_back(capsys, tmp_path, monkeypatch, argv,
+                                                          consensus, reads, lists):
+    # Every path turns argv into per-link lists: a map is read once, by the
+    # handler's one resolver (and validate's oracle reads its own hand-off),
+    # and no library-built map is listed back.
+    tree, path = tmp_path / "tree.json", tmp_path / "links.json"
+    tree.write_text(json.dumps({"root": 0, "nodes": CONSENSUS3 if consensus else LINE3}))
+    path.write_text(json.dumps(EDGE_MAP if consensus and "agg" not in argv else AGG_MAP))
+    calls = {"read": 0, "listed": 0}
+
+    def counted(name):
+        method = getattr(LinkSet, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(LinkSet, name, counted(name))
+    argv = [argv[0], "--tree", str(tree), *(a.format(map=path) for a in argv[1:])]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (0, ""), err
+    assert json.loads(out)
+    assert calls == {"read": reads, "listed": lists}
+
+
+@pytest.mark.parametrize("links", [EDGE_MAP, {"1": 0.01, "2": 0.01}, "missing"])
+def test_validate_refuses_a_map_without_mode_on_a_tree_of_both_modes(capsys, tmp_path, links):
+    # A map's keys name the links of one mode, and a fully weighted tree
+    # would run both: refused before the map is read, even a missing one.
+    tree, path = tmp_path / "tree.json", tmp_path / "links.json"
+    tree.write_text(json.dumps({"root": 0, "nodes": CONSENSUS3}))
+    if links != "missing":
+        path.write_text(json.dumps(links))
+    code, out, err = run_capture(capsys, ["validate", "--tree", str(tree),
+                                          "--d-per-link", str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: --d-per-link needs --mode agg or --mode consensus on a tree "
+                   "that serves both modes\n")
+    if links == EDGE_MAP:
+        argv = ["validate", "--tree", str(tree), "--mode", "consensus", "--d-per-link", str(path)]
+        assert run_capture(capsys, argv)[0] == 0
+
+
+def test_consensus_simulate_has_no_mode_flag(capsys, consensus3_path):
+    argv = ["consensus-simulate", "--tree", consensus3_path, "--D", "0.1", *SIM]
+    assert run_capture(capsys, argv)[0] == 0
+    code, out, err = run_capture(capsys, [*argv, "--mode", "agg"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --mode agg" in err
 
 
 BIG_EDGES = {"0->1": 1e308, "1->0": 1e308, "1->2": 1e308, "2->1": 1e308}

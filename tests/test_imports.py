@@ -35,15 +35,16 @@ EXPORTS = [
     "derive_distortions", "errors", "full_report", "infomeasures",
     "inner_bound_minimized", "line_gap_asymptote", "make_line", "network",
     "outer_bound_closed_form", "outer_bound_incremental", "parse_tree", "rates_for_profile",
-    "simulate_aggregation", "simulate_consensus", "simulate_dithered_baseline",
+    "simulate_aggregation", "simulate_dithered_baseline",
     "simulator", "test_channel_law", "__version__",
 ]
 
 #: Names removed from the package, by the module that defined them: the set
 #: forms of the paper's definitions, which the tests compute by brute force
-#: in ``reference``; the keyed twins of the list functions of ``bounds``,
-#: which the tests reach through ``helpers.Keyed``; and the matrix half of
-#: ``infomeasures``, the matched distortions, the tree writer and the
+#: in ``reference``; the keyed twins of the list functions of ``bounds`` and
+#: of ``simulator.simulate_test_channel``, which the tests reach through
+#: ``helpers.Keyed`` and ``helpers.simulate_consensus``; and the matrix half
+#: of ``infomeasures``, the matched distortions, the tree writer and the
 #: consensus line, which moved to ``reference`` and ``helpers``.
 REMOVED = {
     "network": ["SubtreeStats", "directed_edges", "directed_tree", "edge_multiplicity",
@@ -53,7 +54,7 @@ REMOVED = {
                "GapReport", "InnerBound"],
     "infomeasures": ["GaussianSpec", "gaussian_kl_nats", "verify_smoothing_inequality",
                      "gaussian_entropy_bits", "test_channel_rate_bits"],
-    "simulator": ["matched_test_channel_distortions"],
+    "simulator": ["matched_test_channel_distortions", "simulate_consensus"],
 }
 REMOVED_ATTRIBUTES = {
     "TreeNetwork": ["subtree_members", "oriented_members", "subtree_variances",
@@ -130,7 +131,7 @@ def test_every_export_is_listed_and_resolves():
 
 def test_exports_are_the_defining_modules_objects():
     assert gausstree.full_report is gausstree.bounds.full_report
-    assert gausstree.simulate_consensus is gausstree.simulator.simulate_consensus
+    assert gausstree.simulate_aggregation is gausstree.simulator.simulate_aggregation
     assert gausstree.InputError is gausstree.errors.InputError
     with pytest.raises(AttributeError):
         gausstree.no_such_name  # noqa: B018

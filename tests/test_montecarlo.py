@@ -15,11 +15,10 @@ from gausstree import allocation, cli, simulator
 from gausstree.simulator import (
     SimulationConfig,
     simulate_aggregation,
-    simulate_consensus,
     simulate_dithered_baseline,
 )
 
-from helpers import fixed_fraction_d, random_tree
+from helpers import fixed_fraction_d, random_tree, simulate_consensus
 
 
 def tree_doc(shape: str, n: int, consensus: bool, seed: int) -> dict:

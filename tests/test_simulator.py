@@ -10,7 +10,6 @@ from gausstree.simulator import (
     SimulationConfig,
     analytic_mmse_check,
     simulate_aggregation,
-    simulate_consensus,
     simulate_dithered_baseline,
     simulate_test_channel,
 )
@@ -25,6 +24,7 @@ from helpers import (
     random_feasible_d,
     random_tree,
     shaped_tree,
+    simulate_consensus,
     uniform_edge_d,
 )
 
