@@ -235,9 +235,18 @@ def _certify(level: list, total_distortion: float, method: str) -> None:
     """Refuse ``method``'s consensus allocation unless its ``level = m * inc``
     meets the KKT conditions (:func:`_kkt_violation`).  They read only the
     least, the greatest and the exact sum of ``level``, so its order is free."""
-    violation = _kkt_violation(level, fsum(level), total_distortion)
+    violation = _kkt_violation(level, _level_sum(level), total_distortion)
     if violation is not None:
         raise ConsistencyError(f"{method} allocation {violation}")
+
+
+def _level_sum(level: list[float]) -> float:
+    # The exact sum of ``level = m * inc``; a sum beyond the float range is
+    # an infeasible budget, as in ``LinkSet.sums``.
+    try:
+        return fsum(level)
+    except OverflowError:
+        raise InfeasibleError("multiplicity * inc sums beyond the float range") from None
 
 
 def _kkt_violation(level: list[float], total: float, budget: float) -> str | None:
@@ -278,7 +287,7 @@ def allocate_consensus_numeric(net: TreeNetwork, total_distortion: float) -> Rat
     for taken in range(_NEWTON_STEPS + 1):
         level = mult * x
         listed = level.tolist()
-        total = fsum(listed)
+        total = _level_sum(listed)
         if _kkt_violation(listed, total, total_distortion) is None:
             break
         if taken == _NEWTON_STEPS:

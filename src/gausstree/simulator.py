@@ -28,13 +28,17 @@ uniform scalar quantizer (an aggregation baseline).
 
 Randomness is counter-based: each (seed, trial, role, entity) tuple keys
 an independent Philox stream, so per-node streams are reproducible and
-insensitive to evaluation order.  The Monte-Carlo engine folds once per
-chunk of consecutive trials over ``(chunk, blocklength)`` blocks, the
-chunk bounded by a fixed memory budget (``_CHUNK_FLOATS``).  Row ``r`` of
-every block is drawn from trial ``r``'s own stream by one Philox
-generator per run, re-positioned at the start of each stream, and each
-row is reduced on its own; so the output is the same for every chunk
-size, and the same as drawing one trial at a time.
+insensitive to evaluation order.  The Monte-Carlo engine walks the links
+once per chunk of consecutive trials over ``(chunk, blocklength)``
+blocks.  A release schedule, computed once per run, drops each node's
+data and each link's description after its last reader and finishes each
+sink as soon as its last incoming link is done; the chunk is sized so
+that the schedule's peak number of live blocks fits a fixed memory budget
+(``_CHUNK_FLOATS``).  Row ``r`` of every block is drawn from trial
+``r``'s own stream by one Philox generator per run, re-positioned at the
+start of each stream, and each row is reduced on its own; so the output
+is the same for every chunk size, and the same as drawing one trial at a
+time.
 """
 
 from __future__ import annotations
@@ -81,8 +85,8 @@ _ORACLE_MAX_VARIABLES = 5000
 _DITHER_CLIP_SIGMAS = 4.0
 
 #: Live floats one Monte-Carlo chunk of trials may hold (4 MiB): the
-#: observing nodes' data and the links' descriptions, ``blocklength``
-#: samples each per trial.
+#: blocks of ``blocklength`` samples per trial that the engine's release
+#: schedule holds at its peak (:func:`_release_schedule`).
 _CHUNK_FLOATS = 1 << 19
 
 #: How the oracle's diagnostics name a link, and a sink ``k``'s estimate
@@ -450,11 +454,67 @@ def _row_means(block: np.ndarray) -> np.ndarray:
     return np.add.reduce(block, axis=1, dtype=np.float64) / block.shape[1]
 
 
-def _means_and_cis(samples: list[np.ndarray]) -> tuple[list, list]:
-    """Mean over the trials and its 3-sigma half-width, for every entry."""
-    means = [float(np.mean(values)) for values in samples]
-    cis = [3.0 * (float(np.std(values, ddof=1)) / math.sqrt(values.size)) for values in samples]
-    return means, cis
+def _means_and_cis(samples: np.ndarray) -> tuple[list, list]:
+    """Mean over the trials (the columns) and its 3-sigma half-width, for
+    every row; each equals the same reduction of that row on its own."""
+    means = np.mean(samples, axis=1)
+    cis = 3.0 * (np.std(samples, axis=1, ddof=1) / math.sqrt(samples.shape[1]))
+    return means.tolist(), cis.tolist()
+
+
+def _release_schedule(view: LinkSet) -> tuple[list, int]:
+    """The Monte-Carlo engine's steps in order, and the most blocks live at
+    once.
+
+    A step ``(link, row, node, reads, own, freed)`` forms an estimate:
+    ``node``'s weighted data plus the descriptions of the links in
+    ``reads``.  It describes ``link`` from its feeding links, or, with
+    ``link`` None, finishes sink number ``row`` right after its last
+    incoming link (before the first link if it has none).  ``own`` is True
+    when no later step reads ``node``'s data, which then becomes the
+    estimate in place, and None when ``node`` observes nothing; ``freed``
+    lists the descriptions that no later step reads.
+
+    Live blocks are every observing node's data, the target, and the
+    descriptions made and not yet freed; a step adds its estimate, unless
+    it takes over its data, and its description.
+    """
+    into, sinks = view.into, view.sinks
+    position = {k: t for t, k in enumerate(view.order)}
+    finishing: dict = {}  # by the sink's last incoming link, None if it has none
+    for row, node in enumerate(sinks):
+        last = max(into[node], key=position.__getitem__, default=None)
+        finishing.setdefault(last, []).append((None, row, node, into[node]))
+    steps = finishing.get(None, [])
+
+    def describe(k: int, node: int, fed: list) -> int:
+        # The fold hands each link its feeding links' results: their numbers.
+        steps.append((k, None, node, fed))
+        steps.extend(finishing.get(k, ()))
+        return k
+
+    view.fold(describe)
+
+    # Walking backwards, the first step to read a block is its last reader.
+    observes, data_read, desc_read = set(view.observers), set(), set()
+    schedule = []
+    for link, row, node, reads in reversed(steps):
+        own = None
+        if node in observes:
+            own = node not in data_read
+            data_read.add(node)
+        made = [] if link is None else [link]
+        freed = [j for j in [*reads, *made] if j not in desc_read]
+        desc_read.update(reads, made)
+        schedule.append((link, row, node, reads, own, freed))
+    schedule.reverse()
+
+    live = len(observes) + 1
+    peak = live + 1  # one weighted data block as the target is summed
+    for link, row, node, reads, own, freed in schedule:
+        peak = max(peak, live + (not own) + (link is not None))
+        live += (link is not None) - bool(own) - len(freed)
+    return schedule, peak
 
 
 def _monte_carlo(
@@ -467,46 +527,60 @@ def _monte_carlo(
 ) -> SimulationResult:
     """The one Monte-Carlo engine behind every ``simulate_*`` function.
 
-    The trials run in chunks of consecutive trials, sized so that every
-    observing node's data and every link's description, ``(chunk,
-    blocklength)`` blocks, fit in ``_CHUNK_FLOATS`` floats.  Each chunk
-    draws every observing node's data, then folds once over the links: a
-    link's estimate is its source's weighted data plus the descriptions
-    fed in, and ``encode(rng, trials, k, estimate)`` returns link ``k``'s
-    description.  Then each sink adds the descriptions it receives to its
-    own weighted data (an aggregation root has none) and its squared error
-    against the target is recorded.  Per-link incremental distortions, estimate variances and
-    the sink errors are averaged over trials with 3-sigma half-widths.
-    Row ``r`` of every block is trial ``trials[r]``, drawn from that
-    trial's own streams through ``rng`` (see :func:`_stream`) and reduced
-    on its own, so the output does not depend on the chunk size.
+    The trials run in chunks of consecutive trials.  Each chunk draws
+    every observing node's data as a ``(chunk, blocklength)`` block and
+    sums the weighted data into the target, in ``nodes`` order.  Then it
+    walks :func:`_release_schedule`'s steps once: a link's estimate is its
+    source's weighted data plus the descriptions fed in, and ``encode(rng,
+    trials, k, estimate)`` returns link ``k``'s description; each sink, as
+    soon as its last incoming link is done, adds the descriptions it
+    receives to its own weighted data (an aggregation root has none) and
+    records its squared error against the target.  Every block is dropped
+    after its last reader, so the chunk is sized to fit the schedule's
+    peak number of live blocks in ``_CHUNK_FLOATS`` floats.  Per-link
+    incremental distortions, estimate variances and the sink errors are
+    averaged over trials with 3-sigma half-widths.  Row ``r`` of every
+    block is trial ``trials[r]``, drawn from that trial's own streams
+    through ``rng`` (see :func:`_stream`) and reduced on its own, so the
+    output does not depend on the chunk size.
     """
-    nodes, sinks, into = view.observers, view.sinks, view.into
+    nodes, sinks = view.observers, view.sinks
     weights, n_samples, n_links = net.weights, cfg.blocklength, len(view.keys)
     rng = Generator(Philox(key=np.array([cfg.seed, 0], dtype=np.uint64)))
-    chunk = max(1, _CHUNK_FLOATS // (n_samples * max(1, len(nodes) + n_links)))
-    inc = [np.empty(cfg.trials) for _ in range(n_links)]
-    var = [np.empty(cfg.trials) for _ in range(n_links)]
-    sink_sq = [np.empty(cfg.trials) for _ in sinks]
+    steps, peak = _release_schedule(view)
+    chunk = max(1, _CHUNK_FLOATS // (n_samples * peak))
+    inc, var = np.empty((n_links, cfg.trials)), np.empty((n_links, cfg.trials))
+    sink_sq = np.empty((len(sinks), cfg.trials))
     for start in range(0, cfg.trials, chunk):
         trials = range(start, min(start + chunk, cfg.trials))
-        rows = slice(trials.start, trials.stop)
+        rows, shape = slice(trials.start, trials.stop), (len(trials), n_samples)
         data = {i: _normal_block(rng, cfg.seed, trials, _ROLE_SOURCE, i, n_samples) for i in nodes}
+        target = np.zeros(shape)
+        for i in nodes:
+            target += weights[i] * data[i]
 
-        def transmit(k: int, src: int, fed: list) -> np.ndarray:
-            estimate = _sum_into(weights[src] * data[src], fed)
-            description = encode(rng, trials, k, estimate)
-            inc[k][rows] = _row_means((estimate - description) ** 2)
-            var[k][rows] = _row_means(estimate**2)
-            return description
-
-        descriptions = view.fold(transmit)
-        target = sum((weights[i] * data[i] for i in nodes), np.zeros((len(trials), n_samples)))
-        for sq, k in zip(sink_sq, sinks):
-            own = weights[k] * data[k] if k in data else 0
-            estimate = _sum_into(own, [descriptions[j] for j in into[k]])
-            sq[rows] = _row_means((target - estimate) ** 2)
-        del data, descriptions  # free this chunk's blocks before the next chunk draws
+        descriptions: list = [None] * n_links
+        for link, row, node, reads, own, freed in steps:
+            if own is None:  # an aggregation root observes nothing
+                estimate = np.zeros(shape)
+            elif own:  # no later step reads this data: weight it in place
+                estimate = data.pop(node)
+                estimate *= weights[node]
+            else:
+                estimate = weights[node] * data[node]
+            for j in reads:
+                estimate += descriptions[j]
+            if link is None:  # sink ``row`` estimates the whole sum
+                error = np.subtract(target, estimate, out=estimate)
+                sink_sq[row, rows] = _row_means(np.multiply(error, error, out=error))
+            else:
+                descriptions[link] = description = encode(rng, trials, link, estimate)
+                error = estimate - description
+                inc[link, rows] = _row_means(np.multiply(error, error, out=error))
+                var[link, rows] = _row_means(np.multiply(estimate, estimate, out=estimate))
+            for j in freed:
+                descriptions[j] = None
+        del data, target, descriptions  # free this chunk's blocks before the next chunk draws
 
     inc_mean, inc_ci = _means_and_cis(inc)
     var_mean, var_ci = _means_and_cis(var)
@@ -536,10 +610,10 @@ def _test_channel(cfg: SimulationConfig, laws: list, entity: Sequence[int]):
 
     def encode(rng: Generator, trials: range, k: int, estimate: np.ndarray) -> np.ndarray:
         law = laws[k]
-        noise = _normal_block(
-            rng, cfg.seed, trials, _ROLE_CHANNEL, entity[k], cfg.blocklength
-        ) * math.sqrt(law.conditional_variance)
-        return law.gain * estimate + noise
+        noise = _normal_block(rng, cfg.seed, trials, _ROLE_CHANNEL, entity[k], cfg.blocklength)
+        noise *= math.sqrt(law.conditional_variance)
+        noise += law.gain * estimate
+        return noise
 
     return encode
 
@@ -626,22 +700,28 @@ def simulate_dithered_baseline(
     view = net.links()
     rate = [float(r) for r in view.listed(rates.per_link_rate_bits)]
     variance, step, clip = _dither_design(view, rate)
-    n_samples = cfg.blocklength
-    saturated = [np.empty(cfg.trials) for _ in rate]
+    saturated = np.empty((len(rate), cfg.trials))
 
     def quantize(rng: Generator, trials: range, k: int, estimate: np.ndarray) -> np.ndarray:
         rows = slice(trials.start, trials.stop)
         if rate[k] > 0.0:
+            # ``lo + (hi - lo) * u``, what ``uniform(lo, hi)`` draws, bit for bit.
+            lo, hi = -0.5 * step[k], 0.5 * step[k]
             dither = np.empty_like(estimate)
             for row, trial in zip(dither, trials):
-                row[:] = _stream(rng, cfg.seed, trial, _ROLE_DITHER, view.src[k]).uniform(
-                    -0.5 * step[k], 0.5 * step[k], n_samples
-                )
+                _stream(rng, cfg.seed, trial, _ROLE_DITHER, view.src[k]).random(out=row)
+            dither *= hi - lo
+            dither += lo
             shifted = estimate + dither
-            saturated[k][rows] = _row_means(np.abs(shifted) > clip[k])
-            clipped = np.clip(shifted, -clip[k], clip[k])
-            return step[k] * np.round(clipped / step[k]) - dither
-        saturated[k][rows] = 0.0
+            saturated[k, rows] = _row_means(np.abs(shifted) > clip[k])
+            np.minimum(shifted, clip[k], out=shifted)
+            np.maximum(shifted, -clip[k], out=shifted)
+            shifted /= step[k]
+            np.round(shifted, out=shifted)
+            shifted *= step[k]
+            shifted -= dither
+            return shifted
+        saturated[k, rows] = 0.0
         return np.zeros(estimate.shape)
 
     nominal = [s**2 / 12.0 if r > 0.0 else v for s, r, v in zip(step, rate, variance)]
@@ -651,4 +731,4 @@ def simulate_dithered_baseline(
         "estimate_variance": view.keyed(variance),
     }
     result = _monte_carlo(net, view, cfg, quantize, "dithered-quantizer", references)
-    return replace(result, saturation_rate=view.keyed([float(np.mean(s)) for s in saturated]))
+    return replace(result, saturation_rate=view.keyed(np.mean(saturated, axis=1).tolist()))

@@ -643,6 +643,33 @@ def test_per_link_maps_beyond_the_float_range_exit_3(capsys, tmp_path, command, 
     assert run_capture(capsys, argv) == (3, "", f"infeasible: {err}\n")
 
 
+@pytest.mark.parametrize(
+    "command, nodes",
+    [(["consensus-allocate"], CONSENSUS3)]
+    + [
+        (command, CONSENSUS3 + [node(3, parent=2)])
+        for command in (
+            ["consensus-allocate"], ["consensus-bounds"], ["validate", "--mode", "consensus"],
+            ["consensus-simulate", "--N", "500", "--trials", "2"],
+            ["simulate", "--mode", "consensus", "--N", "500", "--trials", "2"],
+        )
+    ],
+    ids=[
+        "consensus-allocate-line3", "consensus-allocate", "consensus-bounds", "validate",
+        "consensus-simulate", "simulate",
+    ],
+)
+def test_consensus_budget_at_the_float_maximum_exits_3(capsys, tmp_path, command, nodes):
+    # ``multiplicity * inc`` sums beyond the float range: in the Newton
+    # solve's certificate on the 3-node line, and in the closed form's on
+    # the 4-node line, which every consensus path certifies first.
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"root": 0, "nodes": nodes}))
+    argv = [*command, "--tree", str(tree), "--D", "1.7976931348623157e308"]
+    err = "infeasible: multiplicity * inc sums beyond the float range\n"
+    assert run_capture(capsys, argv) == (3, "", err)
+
+
 def test_consensus_allocate_cross_checks_the_numeric_solve(capsys, consensus3_path, monkeypatch):
     solve = allocation.allocate_consensus_numeric
 

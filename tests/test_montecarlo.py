@@ -3,9 +3,13 @@ their memory budget, pinned against outputs recorded before trials were
 chunked; and the stdout of every other subcommand, pinned against outputs
 recorded before each mode's links became one view."""
 
+import contextlib
 import hashlib
+import io
 import json
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from gausstree.simulator import (
     simulate_dithered_baseline,
 )
 
-from helpers import fixed_fraction_d, random_tree, simulate_consensus
+from helpers import fixed_fraction_d, random_tree, shaped_tree, simulate_consensus
 
 
 def tree_doc(shape: str, n: int, consensus: bool, seed: int) -> dict:
@@ -40,10 +44,12 @@ def tree_doc(shape: str, n: int, consensus: bool, seed: int) -> dict:
 # "agg" has an unweighted sink 0 and "cons" weights every node; ``budget``
 # is a ``--D`` value, "links" for a ``--d-per-link`` map, "rate-0" for the
 # map that runs the last link of a line at rate 0, or None.  Simulate runs
-# add ``--seed``.  The engine's chunk is 2**19 // (N * (observing nodes +
-# links)) trials, so random/300 runs chunks of 17, 17 and 6 trials, star/30
-# of 19 and 6, random/7 of 13, 13, 13 and 11 and dither random/40 of 6
-# (five times) and 3.
+# add ``--seed``.  The engine's chunk is 2**19 // (N * peak) trials, where
+# the peak counts the blocks its release schedule holds at once (every
+# observing node's data and the target, then the descriptions still to be
+# read), so random/300 runs chunks of 34 and 6 trials, cons-random-7 of 16,
+# 16, 16 and 2 and dither random/40 of 12, 12 and 9; star/30 runs its 25
+# trials in one chunk.
 CLI_CASES = {
     "agg-line-2": ("simulate", "agg", "line", 2, "json", "0.01", ("--N", "500", "--trials", "7")),
     "agg-sink-only": (
@@ -214,25 +220,76 @@ def test_stdout_matches_the_per_trial_engine(capsys, tmp_path, name):
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[name]
 
 
-def run_all_schemes(seed: int) -> list[dict]:
+def run_all_schemes(seed: int) -> dict[str, dict]:
+    """Every scheme on random trees, and on the shapes whose release
+    schedules differ most: a star, whose leaves' descriptions all stay live
+    until the sink, a line, the sink-only tree and consensus stars and
+    lines."""
     rng = np.random.default_rng(seed)
     agg = random_tree(rng, 39)
     cons = random_tree(rng, 20, mode="consensus")
     cfg = SimulationConfig(blocklength=2000, trials=25, seed=seed)
-    rates = allocation.allocate_equal_incremental(agg, 0.05)
-    return [
-        simulate_aggregation(agg, fixed_fraction_d(agg, 0.1), cfg).to_json_dict(),
-        simulate_consensus(cons, fixed_fraction_d(cons, 0.1, consensus=True), cfg).to_json_dict(),
-        simulate_dithered_baseline(agg, rates, cfg).to_json_dict(),
-    ]
+    runs = {
+        "agg-random": simulate_aggregation(agg, fixed_fraction_d(agg, 0.1), cfg),
+        "cons-random": simulate_consensus(cons, fixed_fraction_d(cons, 0.1, consensus=True), cfg),
+        "dither-random": simulate_dithered_baseline(
+            agg, allocation.allocate_equal_incremental(agg, 0.05), cfg
+        ),
+    }
+    cfg = SimulationConfig(blocklength=300, trials=9, seed=seed)
+    for shape, n in (("star", 40), ("line", 30), ("line", 1)):
+        net = shaped_tree(rng, shape, n)
+        name = f"agg-{shape}-{n}"
+        runs[name] = simulate_aggregation(net, fixed_fraction_d(net, 0.1), cfg)
+        if n > 1:
+            rates = allocation.allocate_equal_incremental(net, 0.05)
+            runs[f"dither-{shape}-{n}"] = simulate_dithered_baseline(net, rates, cfg)
+    for shape, n in (("star", 25), ("line", 25)):
+        net = shaped_tree(rng, shape, n, mode="consensus")
+        d = fixed_fraction_d(net, 0.1, consensus=True)
+        runs[f"cons-{shape}-{n}"] = simulate_consensus(net, d, cfg)
+    return {name: result.to_json_dict() for name, result in runs.items()}
 
 
 @pytest.mark.parametrize("budget", [1, 2**62], ids=["one-trial-chunks", "one-chunk"])
 def test_output_does_not_depend_on_the_chunk(monkeypatch, budget):
-    # At the default budget these runs take chunks of 3 and 4 of 25 trials.
+    # At the default budget the random runs take four chunks of 6 of 25
+    # trials and one of 1; the other shapes run their 9 trials in one chunk.
     expected = run_all_schemes(5)
     monkeypatch.setattr(simulator, "_CHUNK_FLOATS", budget)
     assert run_all_schemes(5) == expected
+
+
+def check_chunk_independence(command: str, shape: str, n: int, directory) -> int:
+    """Run ``command`` with N=20 and T=3 on an ``n``-node ``shape`` tree
+    (fully weighted for ``consensus-simulate``) with one-trial chunks, at
+    the default chunk budget and in one chunk; raise unless the three
+    stdouts are identical, and return their length in bytes."""
+    path = Path(directory) / f"{command}-{shape}-{n}.json"
+    path.write_text(json.dumps(tree_doc(shape, n, command == "consensus-simulate", 7)))
+    argv = [command, "--tree", str(path), "--D", "0.01", "--N", "20", "--trials", "3",
+            "--seed", "11"]
+    default, outs = simulator._CHUNK_FLOATS, []
+    for budget in (1, default, 2**62):
+        out = io.StringIO()
+        simulator._CHUNK_FLOATS = budget
+        try:
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+                warnings.simplefilter("ignore", UserWarning)  # only 60 samples per link
+                assert cli.run(argv) == 0, argv
+        finally:
+            simulator._CHUNK_FLOATS = default
+        outs.append(out.getvalue())
+    assert outs[0] == outs[1] == outs[2], argv
+    return len(outs[0])
+
+
+@pytest.mark.parametrize(
+    "command, shape", [("simulate", "star"), ("simulate", "random"), ("consensus-simulate", "random")]
+)
+def test_cli_output_does_not_depend_on_the_chunk(tmp_path, command, shape):
+    # CI runs the same check at 10,000 nodes.
+    assert check_chunk_independence(command, shape, 300, tmp_path) > 0
 
 
 def fresh(seed: int, trial: int, role: int, entity: int) -> Generator:
@@ -277,17 +334,40 @@ def test_one_generator_per_run(monkeypatch):
     assert len(built) == 1
 
 
-def test_engine_memory_stays_within_a_small_multiple_of_the_budget():
-    # Whole-run blocks at this shape would hold 20 * 100 * 1999 floats
-    # (32 MB); one chunk of two trials holds 3.2 MB.
-    net = random_tree(np.random.default_rng(4), 999)
-    d = fixed_fraction_d(net, 0.1)
-    cfg = SimulationConfig(blocklength=100, trials=20, seed=3)
-    tracemalloc.start()
-    try:
-        simulate_aggregation(net, d, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 4 * 2**20  # three times the 4 MiB chunk budget
+def test_engine_memory_stays_within_a_small_multiple_of_the_budget(monkeypatch):
+    # Whole-run blocks on the random aggregation tree would hold
+    # 20 * 100 * 1999 floats (32 MB).  Its release schedule holds at most
+    # 1001 blocks at once (999 nodes' data, the target and a description),
+    # so a chunk takes 5 trials (4 MB) and the run takes 4 chunks; sized
+    # for every node's data and every description at once, it took 10
+    # chunks of 2.  On the star every leaf's description stays live until
+    # the sink; in consensus the up-links' descriptions stay live for the
+    # down-links.
+    chunks = []
+    normal_block = simulator._normal_block
 
+    def counting(rng, seed, trials, role, index, n_samples):
+        if role == simulator._ROLE_SOURCE and index == 1:  # once per chunk
+            chunks.append(len(trials))
+        return normal_block(rng, seed, trials, role, index, n_samples)
+
+    monkeypatch.setattr(simulator, "_normal_block", counting)
+    rng = np.random.default_rng(4)
+    agg, star = random_tree(rng, 999), shaped_tree(rng, "star", 1000)
+    cons = random_tree(rng, 600, mode="consensus")
+    cfg = SimulationConfig(blocklength=100, trials=20, seed=3)
+    runs = [
+        lambda: simulate_aggregation(agg, fixed_fraction_d(agg, 0.1), cfg),
+        lambda: simulate_aggregation(star, fixed_fraction_d(star, 0.1), cfg),
+        lambda: simulate_consensus(cons, fixed_fraction_d(cons, 0.1, consensus=True), cfg),
+    ]
+    for k, run in enumerate(runs):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 4 * 2**20, k  # three times the 4 MiB chunk budget
+        if k == 0:
+            assert sum(chunks) == cfg.trials and len(chunks) <= 4, chunks
